@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
     cfg.buffer_capacity = buf;
     const std::string id = "ablate/buffer/" + std::to_string(buf);
     configs[id] = cfg;
-    registry.add(id, [cfg, cache] { return online_arm_scenario(cfg, cache); });
+    registry.add_any(id, [cfg, cache] { return online_arm_scenario(cfg, cache); });
   }
   for (std::size_t v = 0; v < 3; ++v) {
     OnlineIlConfig cfg;
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
     }
     const std::string id = "ablate/candidates/" + std::to_string(v);
     configs[id] = cfg;
-    registry.add(id, [cfg, cache] { return online_arm_scenario(cfg, cache); });
+    registry.add_any(id, [cfg, cache] { return online_arm_scenario(cfg, cache); });
   }
 
   // ---- Section E: policy optimizer (ml/optimizer.h) ------------------------
@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
     if (opt_arms[i].lr > 0.0) cfg.policy.learning_rate = opt_arms[i].lr;
     const std::string id = "ablate/optimizer/" + std::to_string(i);
     configs[id] = cfg;
-    registry.add(id, [cfg, cache] { return online_arm_scenario(cfg, cache); });
+    registry.add_any(id, [cfg, cache] { return online_arm_scenario(cfg, cache); });
   }
 
   // ---- Section C: implicit vs explicit NMPC --------------------------------

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   auto il_updates = std::make_shared<std::size_t>(0);
 
   ScenarioRegistry registry;
-  registry.add("fig3/il", [shared, seq, il_updates] {
+  registry.add_any("fig3/il", [shared, seq, il_updates] {
     Scenario s;
     s.trace = seq;
     s.oracle_cache = shared->cache;
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     };
     return s;
   });
-  registry.add("fig3/rl", [shared, seq, mibench] {
+  registry.add_any("fig3/rl", [shared, seq, mibench] {
     Scenario s;
     s.trace = seq;
     s.oracle_cache = shared->cache;

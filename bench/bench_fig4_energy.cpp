@@ -61,14 +61,14 @@ int main(int argc, char** argv) {
   for (const auto& app : mibench) {
     common::Rng trace_rng(300 + app.app_id);
     const auto trace = workloads::CpuBenchmarks::trace(app, 80, trace_rng);
-    registry.add("fig4/offline/" + app.name + "/il", [shared, trace] {
+    registry.add_any("fig4/offline/" + app.name + "/il", [shared, trace] {
       Scenario s;
       s.trace = trace;
       s.oracle_cache = shared->cache;
       s.make_controller = offline_il_factory(shared->policy);
       return s;
     });
-    registry.add("fig4/offline/" + app.name + "/rl", [shared, trace, make_rl] {
+    registry.add_any("fig4/offline/" + app.name + "/rl", [shared, trace, make_rl] {
       Scenario s;
       s.trace = trace;
       s.oracle_cache = shared->cache;
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   common::Rng seq_rng(99);
   const auto seq = workloads::CpuBenchmarks::sequence(online_apps, seq_rng);
 
-  registry.add("fig4/online/il", [shared, seq] {
+  registry.add_any("fig4/online/il", [shared, seq] {
     Scenario s;
     s.trace = seq;
     s.oracle_cache = shared->cache;
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
 
   auto rl_states = std::make_shared<std::size_t>(0);
   auto rl_bytes = std::make_shared<std::size_t>(0);
-  registry.add("fig4/online/rl", [shared, seq, make_rl, rl_states, rl_bytes] {
+  registry.add_any("fig4/online/rl", [shared, seq, make_rl, rl_states, rl_bytes] {
     Scenario s;
     s.trace = seq;
     s.oracle_cache = shared->cache;
@@ -181,9 +181,9 @@ int main(int argc, char** argv) {
     shared->off = off;
 
     // Frozen offline policy, shared read-only by every Offline-IL scenario.
-    // A warm store restores it (weights + training bookkeeping, so the JSONL
-    // record below is bitwise identical to the cold run's) instead of
-    // retraining.
+    // A warm store restores it (weights + final loss, so the gated
+    // final_loss below is bitwise identical to the cold run's; the restored
+    // policy trained for 0 s) instead of retraining.
     auto policy = std::make_shared<IlPolicy>(plat.space());
     bool restored = false;
     if (driver.store()) {

@@ -129,9 +129,11 @@ BENCHMARK(BM_ArtifactStoreWarmLoad)->Unit(benchmark::kMicrosecond);
 static void BM_IlPolicyDecision(benchmark::State& state) {
   auto& f = cpu_fixture();
   const FeatureExtractor fx(f.plat.space());
-  const common::Vec s = fx.policy_features(f.result.counters, f.config);
+  common::Vec s;
+  fx.policy_features_into(f.result.counters, f.config, s);
+  IlPolicy::Scratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.policy->decide(s));
+    benchmark::DoNotOptimize(f.policy->decide(s, scratch));
   }
 }
 BENCHMARK(BM_IlPolicyDecision)->Unit(benchmark::kMicrosecond);
@@ -148,8 +150,9 @@ BENCHMARK(BM_OnlineIlFullStep)->Unit(benchmark::kMicrosecond);
 static void BM_ModelCandidateEval(benchmark::State& state) {
   auto& f = cpu_fixture();
   const WorkloadFeatures w = workload_features(f.result.counters, f.config);
+  common::Vec phi;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.models->predict_log_cost(w, f.config));
+    benchmark::DoNotOptimize(f.models->predict_log_cost(w, f.config, phi));
   }
 }
 BENCHMARK(BM_ModelCandidateEval)->Unit(benchmark::kNanosecond);
@@ -233,7 +236,8 @@ void decide_row(common::Table& table, const char* name, Step&& step) {
 void run_decide_section() {
   auto& f = cpu_fixture();
   const FeatureExtractor fx(f.plat.space());
-  const common::Vec state = fx.policy_features(f.result.counters, f.config);
+  common::Vec state;
+  fx.policy_features_into(f.result.counters, f.config, state);
   common::Table table({"Controller decide()", "Decisions", "p50 (ns)", "p99 (ns)", "max (ns)"});
 
   OndemandGovernor ondemand(f.plat.space());
@@ -250,7 +254,7 @@ void run_decide_section() {
              [&] { benchmark::DoNotOptimize(powersave.step(f.result, f.config)); });
 
   IlPolicy::Scratch scratch;
-  decide_row(table, "offline IL policy (scratch)",
+  decide_row(table, "offline IL policy",
              [&] { benchmark::DoNotOptimize(f.policy->decide(state, scratch)); });
 
   QLearningController ql(f.plat.space());

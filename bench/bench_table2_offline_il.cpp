@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   ScenarioRegistry registry;
   for (const Row& row : rows) {
     const auto& app = workloads::CpuBenchmarks::by_name(row.name);
-    registry.add(std::string("table2/") + row.name, [shared, app] {
+    registry.add_any(std::string("table2/") + row.name, [shared, app] {
       Scenario s;
       common::Rng trace_rng(300 + app.app_id);
       s.trace = workloads::CpuBenchmarks::trace(app, 80, trace_rng);

@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
                                               /*train_seed=*/5, {}, cache)},
   };
   for (const auto& [name, factory] : controllers) {
-    registry.add("thermal_drm/free/" + name, [trace, factory, cache] {
+    registry.add_any("thermal_drm/free/" + name, [trace, factory, cache] {
       Scenario s;
       s.trace = trace;
       s.make_controller = factory;

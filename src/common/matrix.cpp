@@ -265,17 +265,16 @@ Mat outer(const Vec& a, const Vec& b) {
 
 namespace {
 
-// LU with partial pivoting, in place.  Returns pivot permutation and sign.
+// LU with partial pivoting, in place.  Returns the pivot permutation.
 struct LuResult {
   Mat lu;
   std::vector<std::size_t> piv;
-  double sign = 1.0;
 };
 
 LuResult lu_factor(Mat a) {
   const std::size_t n = a.rows();
   if (a.cols() != n) throw std::invalid_argument("lu_factor: matrix not square");
-  LuResult res{std::move(a), {}, 1.0};
+  LuResult res{std::move(a), {}};
   res.piv.resize(n);
   for (std::size_t i = 0; i < n; ++i) res.piv[i] = i;
   Mat& m = res.lu;
@@ -293,7 +292,6 @@ LuResult lu_factor(Mat a) {
     if (p != k) {
       for (std::size_t c = 0; c < n; ++c) std::swap(m(p, c), m(k, c));
       std::swap(res.piv[p], res.piv[k]);
-      res.sign = -res.sign;
     }
     for (std::size_t i = k + 1; i < n; ++i) {
       m(i, k) /= m(k, k);
@@ -339,13 +337,6 @@ Mat lu_solve(Mat a, const Mat& b) {
 }
 
 Mat inverse(const Mat& a) { return lu_solve(a, Mat::identity(a.rows())); }
-
-double determinant(Mat a) {
-  LuResult f = lu_factor(std::move(a));
-  double d = f.sign;
-  for (std::size_t i = 0; i < f.lu.rows(); ++i) d *= f.lu(i, i);
-  return d;
-}
 
 Mat cholesky(const Mat& a) {
   const std::size_t n = a.rows();

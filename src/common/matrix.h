@@ -121,9 +121,6 @@ Mat cholesky(const Mat& a);
 /// Solves A x = b for SPD A via Cholesky.
 Vec cholesky_solve(const Mat& a, const Vec& b);
 
-/// Determinant via LU (sign-corrected).
-double determinant(Mat a);
-
 /// Eigenvalues of a general real matrix via the (shifted) QR algorithm on the
 /// Hessenberg form.  Returns real parts and imaginary parts.  Intended for
 /// the small matrices used in thermal stability analysis.

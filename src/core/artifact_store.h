@@ -46,7 +46,7 @@ struct OracleStoreEntry {
 class ArtifactStore {
  public:
   static constexpr std::uint64_t kMagic = 0x45524f54534c414fULL;  // "OALSTORE" LE
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
   static constexpr std::uint32_t kKindOracle = 1;
   static constexpr std::uint32_t kKindBlob = 2;
 

@@ -44,7 +44,7 @@ namespace oal::core {
 
 /// Standard metric set of a DRM RunResult (energy ratio only when Oracle
 /// energies were recorded).  Shared by the DRM/thermal wrappers and by
-/// benches that serialize Scenario-level batches.
+/// custom-closure scenarios that run a DrmRunner themselves.
 Metrics drm_metrics(const RunResult& run);
 
 /// Type-erased result of one scenario run.
@@ -215,8 +215,7 @@ class AnyScenario {
   bool runnable() const { return static_cast<bool>(run_); }
 
   /// Copy under a different id; run() results carry the new id too.  This is
-  /// how ScenarioRegistry imposes its catalog name on a built scenario (the
-  /// same contract as build() overriding Scenario::id).
+  /// how ScenarioRegistry imposes its catalog name on a built scenario.
   AnyScenario renamed(std::string id) const;
 
   /// Executes the scenario in the calling thread.

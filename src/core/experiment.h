@@ -22,13 +22,15 @@
 // artifacts (e.g. an offline dataset behind a shared_ptr) but must copy
 // anything the controller mutates.
 //
-// The result path is streaming-first: one shared scheduling/determinism core
+// There is one entry point, run_any, over type-erased scenarios
+// (core/domain.h); a DRM Scenario converts to AnyScenario implicitly.  The
+// result path is streaming-first: one shared scheduling/determinism core
 // runs a materialized shard on the pool and delivers every result to a sink
 // callback in id order, so a downstream aggregator sees the identical
-// result stream regardless of thread count.  The vector-returning APIs are
-// thin wrappers (sink = push_back) and run_any_streaming() feeds the same
-// core from a lazy generator in fixed-size shards — peak result memory is
-// one shard, not the population, which is what lets fleet-scale sweeps
+// result stream regardless of thread count.  The vector-returning run_any
+// is a thin wrapper (sink = push_back) and run_any_streaming() feeds the
+// same core from a lazy generator in fixed-size shards — peak result memory
+// is one shard, not the population, which is what lets fleet-scale sweeps
 // (thousands of device arms) run through the same engine and keep the
 // parallel==serial bitwise contract per shard.
 #pragma once
@@ -135,7 +137,6 @@ class ExperimentEngine {
   /// the exception propagates to the caller and undelivered results of the
   /// current shard are dropped.
   using AnySink = std::function<void(AnyResult&&)>;
-  using ScenarioSink = std::function<void(ScenarioResult&&)>;
   /// Lazy scenario source for run_any_streaming: one scenario per call,
   /// std::nullopt when the population is exhausted.  Called on the engine's
   /// calling thread only (never concurrently), so a generator may hold
@@ -144,21 +145,11 @@ class ExperimentEngine {
 
   explicit ExperimentEngine(Options opts = Options());
 
-  /// Executes the batch in parallel; returns results sorted by scenario id.
-  /// Throws std::invalid_argument on empty/duplicate ids or a null factory.
-  /// Same contract as run_any, implemented directly (no type erasure) so
-  /// the all-DRM hot path avoids Scenario/RunResult copies.
-  std::vector<ScenarioResult> run_batch(const std::vector<Scenario>& batch);
-
-  /// Streaming form: delivers each ScenarioResult to `sink` in id order
-  /// instead of collecting a vector.  The vector form is a thin wrapper
-  /// over this (sink = push_back).
-  void run_batch(const std::vector<Scenario>& batch, const ScenarioSink& sink);
-
-  /// Domain-generic batch execution: DRM, GPU-ENMPC, NoC, thermally-
+  /// Executes the batch in parallel: DRM, GPU-ENMPC, NoC, thermally-
   /// constrained DRM, and custom scenarios mix freely (see core/domain.h).
-  /// Same contract as run_batch: results sorted by id, parallel bitwise ==
-  /// serial, lowest-index exception rethrown after the batch drains.
+  /// Results are sorted by id, parallel bitwise == serial, and the
+  /// lowest-index exception is rethrown after the batch drains.  Throws
+  /// std::invalid_argument on empty/duplicate ids or an unrunnable scenario.
   std::vector<AnyResult> run_any(const std::vector<AnyScenario>& batch);
 
   /// Streaming form of run_any (sink called in id order; the vector form is

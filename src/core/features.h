@@ -44,12 +44,10 @@ class FeatureExtractor {
   /// Policy state: workload features + normalized current-config knobs.
   /// When thermal-aware, also: junction/skin proximity to their throttle
   /// limits and normalized budget headroom (neutral telemetry — the default
-  /// argument — encodes a cool, unconstrained device).
-  common::Vec policy_features(const soc::PerfCounters& k, const soc::SocConfig& current,
-                              const soc::ThermalTelemetry& telemetry = {}) const;
-  /// Allocation-free variant: writes the same state (bitwise identical, same
-  /// expression order) into `out`, which keeps its capacity across calls —
-  /// zero steady-state heap traffic once it has grown to policy_dim().
+  /// argument — encodes a cool, unconstrained device).  Written into `out`
+  /// (resized to policy_dim()), which keeps its capacity across calls: zero
+  /// steady-state heap traffic once it has grown.  Offline collection and
+  /// the online controllers both build their states here.
   void policy_features_into(const soc::PerfCounters& k, const soc::SocConfig& current,
                             common::Vec& out, const soc::ThermalTelemetry& telemetry = {}) const;
   std::size_t policy_dim() const { return thermal_aware_ ? 12 + kThermalDims : 12; }
@@ -61,10 +59,8 @@ class FeatureExtractor {
   /// Regressors for the online models: smooth functions of the candidate
   /// configuration crossed with workload features.  Targets are log(time per
   /// instruction) and log(power), which are close to linear in this basis.
-  common::Vec model_features(const WorkloadFeatures& w, const soc::SocConfig& candidate) const;
-  /// Allocation-free variant of model_features (same values, same order)
-  /// into a caller-reused buffer — the per-candidate hot path of the
-  /// online-IL neighborhood sweep and the NMPC solvers.
+  /// Written into `out` (resized to model_dim()) — the one basis shared by
+  /// the offline bootstrap, the online updates, and the per-candidate sweeps.
   void model_features_into(const WorkloadFeatures& w, const soc::SocConfig& candidate,
                            common::Vec& out) const;
   std::size_t model_dim() const;

@@ -34,13 +34,16 @@ class GpuOnlineModels {
   /// Multi-slice efficiency used to normalize observed busy cycles.
   double slice_eff(int n) const;
 
-  /// Predicted frame time for a candidate configuration.
-  double predict_frame_time_s(const GpuWorkloadState& w, const gpu::GpuConfig& c) const;
+  /// Predicted frame time for a candidate configuration; the feature basis
+  /// is built into the caller-owned phi buffer, which the NMPC candidate
+  /// loops reuse across many calls per decision.
+  double predict_frame_time_s(const GpuWorkloadState& w, const gpu::GpuConfig& c,
+                              common::Vec& phi) const;
   /// d(frame time)/d(frequency in GHz): the DVFS sensitivity model.
   double frame_time_freq_sensitivity(const GpuWorkloadState& w, const gpu::GpuConfig& c) const;
-  /// Predicted GPU-scope energy over one deadline period.
-  double predict_gpu_energy_j(const GpuWorkloadState& w, const gpu::GpuConfig& c,
-                              double period_s) const;
+  /// Predicted GPU-scope energy over one deadline period (phi as above).
+  double predict_gpu_energy_j(const GpuWorkloadState& w, const gpu::GpuConfig& c, double period_s,
+                              common::Vec& phi) const;
   /// Producer-side (PKG+DRAM minus GPU scope) energy over one period, from
   /// the platform's deterministic power parameters and the workload state:
   /// CPU frame work, package base rail, DRAM traffic + static power.  This
@@ -50,42 +53,23 @@ class GpuOnlineModels {
   /// controllers anchor it to the measured per-frame producer energy.
   double producer_energy_prior_j(const GpuWorkloadState& w, double period_s) const;
 
-  /// Reusable buffers for the allocation-free update overload: the feature
-  /// basis plus the RLS temporaries, shared by both refits (phi and the RLS
-  /// buffers grow to the energy-model dim on first use, then stop
-  /// allocating).
+  /// Reusable buffers of update(): the feature basis plus the RLS
+  /// temporaries, shared by both refits (phi and the RLS buffers grow to the
+  /// energy-model dim on first use, then stop allocating).
   struct UpdateScratch {
     common::Vec phi;                        ///< feature basis (time, then energy)
     ml::RecursiveLeastSquares::Scratch rls; ///< K / Px temporaries
   };
 
-  /// Adapt both models from an executed frame.
-  void update(const GpuWorkloadState& w_before, const gpu::GpuConfig& c, double period_s,
-              const gpu::FrameResult& observed);
-
-  /// Allocation-free update: identical arithmetic (bitwise) to the by-value
-  /// form, with every temporary parked in `scratch` — this makes the full
-  /// per-frame NMPC/online-IL *step* (decide + refit) steady-state
-  /// allocation-free, not just the decide half.
+  /// Adapt both models from an executed frame, with every temporary parked
+  /// in `scratch` — this makes the full per-frame NMPC/online-IL *step*
+  /// (decide + refit) steady-state allocation-free, not just the decide half.
   void update(const GpuWorkloadState& w_before, const gpu::GpuConfig& c, double period_s,
               const gpu::FrameResult& observed, UpdateScratch& scratch);
 
   std::size_t updates() const { return time_model_.updates(); }
 
-  /// Scratch overloads: identical arithmetic, the feature basis built into
-  /// the caller-owned phi buffer.  The NMPC candidate loops call these many
-  /// times per decision and reuse one buffer throughout.
-  double predict_frame_time_s(const GpuWorkloadState& w, const gpu::GpuConfig& c,
-                              common::Vec& phi) const;
-  double predict_gpu_energy_j(const GpuWorkloadState& w, const gpu::GpuConfig& c, double period_s,
-                              common::Vec& phi) const;
-
-  /// Feature maps (exposed for the explicit-NMPC sampler and tests).
-  common::Vec time_features(const GpuWorkloadState& w, const gpu::GpuConfig& c) const;
-  common::Vec energy_features(const GpuWorkloadState& w, const gpu::GpuConfig& c,
-                              double period_s) const;
-  /// Buffer-reusing forms of the feature maps (cleared, then filled in the
-  /// identical order — same values as the by-value forms).
+  /// Feature maps, written into a reused buffer (cleared, then filled).
   void time_features_into(const GpuWorkloadState& w, const gpu::GpuConfig& c,
                           common::Vec& phi) const;
   void energy_features_into(const GpuWorkloadState& w, const gpu::GpuConfig& c, double period_s,

@@ -27,10 +27,11 @@ IlPolicy::IlPolicy(const soc::ConfigSpace& space, IlPolicyConfig cfg)
 double IlPolicy::train(const PolicyDataset& data, std::size_t epochs, common::Rng& rng) {
   std::vector<common::Vec> xs;
   std::vector<std::vector<std::size_t>> ys;
-  xs.reserve(data.states.size());
+  xs.resize(data.states.size());
   ys.reserve(data.labels.size());
+  ml::StandardScaler::TransformCache cache;
   for (std::size_t i = 0; i < data.states.size(); ++i) {
-    xs.push_back(scaler_.transform(data.states[i]));
+    scaler_.transform_into(data.states[i], xs[i], cache);
     ys.push_back(labels_of(data.labels[i]));
   }
   const auto t0 = std::chrono::steady_clock::now();
@@ -58,11 +59,6 @@ double IlPolicy::train_incremental(const PolicyDataset& data, std::size_t epochs
   return train(data, epochs, rng);
 }
 
-soc::SocConfig IlPolicy::decide(const common::Vec& state) const {
-  if (!trained_) throw std::logic_error("IlPolicy::decide before training");
-  return config_of(net_.predict(scaler_.transform(state)));
-}
-
 // oal-lint: hot-path
 soc::SocConfig IlPolicy::decide(const common::Vec& state, Scratch& s) const {
   if (!trained_) throw std::logic_error("IlPolicy::decide before training");
@@ -77,7 +73,6 @@ soc::SocConfig IlPolicy::decide(const common::Vec& state, Scratch& s) const {
 std::vector<double> IlPolicy::export_artifact() const {
   std::vector<double> out;
   out.push_back(trained_ ? 1.0 : 0.0);
-  out.push_back(train_time_s_);
   out.push_back(last_train_loss_);
   scaler_.export_state(out);
   net_.export_params(out);
@@ -85,17 +80,17 @@ std::vector<double> IlPolicy::export_artifact() const {
 }
 
 bool IlPolicy::import_artifact(const std::vector<double>& in) {
-  if (in.size() < 3) return false;
+  if (in.size() < 2) return false;
   // Stage into copies so a truncated/mismatched artifact leaves *this intact.
   ml::StandardScaler scaler = scaler_;
   ml::MultiHeadClassifier net = net_;
-  std::size_t pos = 3;
+  std::size_t pos = 2;
   if (!scaler.import_state(in, pos)) return false;
   if (!net.import_params(in, pos)) return false;
   if (pos != in.size()) return false;  // trailing garbage: not our artifact
   trained_ = in[0] != 0.0;
-  train_time_s_ = in[1];
-  last_train_loss_ = in[2];
+  train_time_s_ = 0.0;
+  last_train_loss_ = in[1];
   scaler_ = std::move(scaler);
   net_ = std::move(net);
   return true;

@@ -55,39 +55,38 @@ class IlPolicy {
   /// the input space of the deployed network is stable).
   double train_incremental(const PolicyDataset& data, std::size_t epochs, common::Rng& rng);
 
-  /// Greedy policy decision from a raw (unscaled) state vector.
-  soc::SocConfig decide(const common::Vec& state) const;
-
-  /// Caller-owned scratch for the allocation-free decision path.  The
-  /// buffers grow to the policy dimensions on first use and are then stable,
-  /// so each decide(state, scratch) performs zero heap allocations.  The
-  /// scratch is caller-owned (not a policy member) because one const
-  /// IlPolicy is shared read-only across parallel scenario arms — each arm
-  /// brings its own scratch and the policy stays thread-safe.
+  /// Caller-owned scratch of decide().  The buffers grow to the policy
+  /// dimensions on first use and are then stable, so each decide performs
+  /// zero heap allocations.  The scratch is caller-owned (not a policy
+  /// member) because one const IlPolicy is shared read-only across parallel
+  /// scenario arms — each arm brings its own scratch and the policy stays
+  /// thread-safe.
   struct Scratch {
     ml::StandardScaler::TransformCache scaler;
     common::Vec z;                              ///< scaled state
     ml::MultiHeadClassifier::InferScratch net;  ///< trunk/logit buffers
     std::vector<std::size_t> cls;               ///< per-head argmax
   };
-  /// Allocation-free decide: same scaling arithmetic, argmax taken from the
-  /// head logits (softmax skipped — monotone).  Decisions are bitwise
-  /// identical to decide(state); asserted in tests/test_hot_path_alloc.cpp.
+  /// Greedy policy decision from a raw (unscaled) state vector: the state is
+  /// standardized with the training scaler and each knob is the argmax of
+  /// its head's logits (softmax skipped — monotone).  Zero heap allocations
+  /// once `scratch` is warm; asserted in tests/test_hot_path_alloc.cpp.
   soc::SocConfig decide(const common::Vec& state, Scratch& scratch) const;
 
   bool trained() const { return trained_; }
   std::size_t num_params() const { return net_.num_params(); }
   std::size_t storage_bytes() const { return net_.storage_bytes(); }
 
-  /// Cumulative wall-time spent in train_offline/train_incremental (seconds).
+  /// Cumulative wall-time this instance spent in train_offline/
+  /// train_incremental (seconds); 0 for a policy restored by import_artifact.
   double train_time_s() const { return train_time_s_; }
   /// Mean cross-entropy of the most recent training call's final epoch.
   double last_train_loss() const { return last_train_loss_; }
 
   /// Flattens everything a warm process needs to skip train_offline: scaler
-  /// state, network weights, and the training bookkeeping (train_time_s,
-  /// last_train_loss — preserved so JSONL records emitted from a restored
-  /// policy bitwise-match the cold run that stored it).
+  /// state, network weights, and last_train_loss (so the gated final_loss of
+  /// a restored policy bitwise-matches the cold run that stored it).  The
+  /// training wall-time is not persisted: a restored policy did no training.
   std::vector<double> export_artifact() const;
   /// Restores what export_artifact produced into an identically-configured
   /// policy; false (policy unchanged) on shape mismatch or truncation.

@@ -12,13 +12,13 @@ OnlineSocModels::OnlineSocModels(const soc::ConfigSpace& space, ml::RlsConfig rl
 
 void OnlineSocModels::bootstrap(const std::vector<ModelSample>& samples, double ridge_alpha) {
   if (samples.empty()) throw std::invalid_argument("OnlineSocModels::bootstrap: no samples");
-  std::vector<common::Vec> x;
+  std::vector<common::Vec> x(samples.size());
   std::vector<double> log_tpi, log_p;
-  x.reserve(samples.size());
-  for (const auto& s : samples) {
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const ModelSample& s = samples[i];
     if (s.time_s <= 0.0 || s.instructions <= 0.0 || s.power_w <= 0.0)
       throw std::invalid_argument("OnlineSocModels::bootstrap: non-positive sample");
-    x.push_back(fx_.model_features(s.workload, s.config));
+    fx_.model_features_into(s.workload, s.config, x[i]);
     log_tpi.push_back(std::log(s.time_s / s.instructions));
     log_p.push_back(std::log(s.power_w));
   }
@@ -32,41 +32,13 @@ void OnlineSocModels::bootstrap(const std::vector<ModelSample>& samples, double 
   bootstrapped_ = true;
 }
 
-double OnlineSocModels::update(const ModelSample& s) {
-  if (s.time_s <= 0.0 || s.instructions <= 0.0 || s.power_w <= 0.0)
-    throw std::invalid_argument("OnlineSocModels::update: non-positive sample");
-  const common::Vec phi = fx_.model_features(s.workload, s.config);
-  const double innovation = time_model_.update(phi, std::log(s.time_s / s.instructions));
-  power_model_.update(phi, std::log(s.power_w));
-  return innovation;
-}
-
-double OnlineSocModels::predict_time_s(const WorkloadFeatures& w, const soc::SocConfig& c,
-                                       double instructions) const {
-  return std::exp(time_model_.predict(fx_.model_features(w, c))) * instructions;
-}
-
-double OnlineSocModels::predict_power_w(const WorkloadFeatures& w, const soc::SocConfig& c) const {
-  return std::exp(power_model_.predict(fx_.model_features(w, c)));
-}
-
-double OnlineSocModels::predict_energy_j(const WorkloadFeatures& w, const soc::SocConfig& c,
-                                         double instructions) const {
-  const common::Vec phi = fx_.model_features(w, c);
-  return std::exp(time_model_.predict(phi) + power_model_.predict(phi)) * instructions;
-}
-
-double OnlineSocModels::predict_log_cost(const WorkloadFeatures& w, const soc::SocConfig& c) const {
-  const common::Vec phi = fx_.model_features(w, c);
-  return time_model_.predict(phi) + power_model_.predict(phi);
-}
-
 double OnlineSocModels::update(const ModelSample& s, common::Vec& phi) {
   if (s.time_s <= 0.0 || s.instructions <= 0.0 || s.power_w <= 0.0)
     throw std::invalid_argument("OnlineSocModels::update: non-positive sample");
   fx_.model_features_into(s.workload, s.config, phi);
-  const double innovation = time_model_.update(phi, std::log(s.time_s / s.instructions));
-  power_model_.update(phi, std::log(s.power_w));
+  const double innovation =
+      time_model_.update(phi, std::log(s.time_s / s.instructions), rls_scratch_);
+  power_model_.update(phi, std::log(s.power_w), rls_scratch_);
   return innovation;
 }
 

@@ -36,26 +36,19 @@ class OnlineSocModels {
   /// Ridge-fits initial weights from offline samples and seeds the RLS.
   void bootstrap(const std::vector<ModelSample>& samples, double ridge_alpha = 1e-4);
 
-  /// One online adaptation step from an executed snippet.  Returns the
-  /// a-priori innovation of the time model in log space (|e| of 0.1 means
-  /// roughly a 10% relative time mis-prediction) — a cheap workload-change
-  /// detector for the controller.
-  double update(const ModelSample& observed);
-
-  double predict_time_s(const WorkloadFeatures& w, const soc::SocConfig& candidate,
-                        double instructions) const;
-  double predict_power_w(const WorkloadFeatures& w, const soc::SocConfig& candidate) const;
-  double predict_energy_j(const WorkloadFeatures& w, const soc::SocConfig& candidate,
-                          double instructions) const;
-  /// log(t/I) + log(P): monotone in predicted energy; cheaper for argmin.
-  double predict_log_cost(const WorkloadFeatures& w, const soc::SocConfig& candidate) const;
-
-  /// Scratch overloads: identical arithmetic, but the feature basis is built
-  /// into the caller-owned phi buffer — the online-IL candidate loop calls
-  /// these hundreds of times per decision and reuses one buffer throughout.
+  /// One online adaptation step from an executed snippet; the feature basis
+  /// is built into the caller-owned `phi` buffer.  Returns the a-priori
+  /// innovation of the time model in log space (|e| of 0.1 means roughly a
+  /// 10% relative time mis-prediction) — a cheap workload-change detector
+  /// for the controller.
   double update(const ModelSample& observed, common::Vec& phi);
+
+  /// Candidate scoring with the feature basis built into the caller-owned
+  /// phi buffer — the online-IL candidate loop calls these hundreds of times
+  /// per decision and reuses one buffer throughout.
   double predict_power_w(const WorkloadFeatures& w, const soc::SocConfig& candidate,
                          common::Vec& phi) const;
+  /// log(t/I) + log(P): monotone in predicted energy; cheaper for argmin.
   double predict_log_cost(const WorkloadFeatures& w, const soc::SocConfig& candidate,
                           common::Vec& phi) const;
 
@@ -66,6 +59,7 @@ class OnlineSocModels {
   FeatureExtractor fx_;
   ml::RecursiveLeastSquares time_model_;   // target: log(time per instruction)
   ml::RecursiveLeastSquares power_model_;  // target: log(power)
+  ml::RecursiveLeastSquares::Scratch rls_scratch_;  // shared by both updates
   bool bootstrapped_ = false;
 };
 

@@ -394,6 +394,7 @@ void bootstrap_gpu_models(gpu::GpuPlatform& platform, GpuOnlineModels& models, d
   // Generic design-time content mix: one representative mid-intensity
   // workload swept across random configurations.
   const auto& suite = workloads::GpuBenchmarks::fig5_suite();
+  GpuOnlineModels::UpdateScratch scratch;
   for (std::size_t i = 0; i < frames; ++i) {
     const auto& spec = suite[i % suite.size()];
     common::Rng frame_rng = rng.fork();
@@ -408,7 +409,7 @@ void bootstrap_gpu_models(gpu::GpuPlatform& platform, GpuOnlineModels& models, d
     w.work_cycles = trace[0].render_cycles;
     w.mem_bytes = trace[0].mem_bytes;
     w.cpu_cycles = trace[0].cpu_cycles;
-    models.update(w, c, period_s, r);
+    models.update(w, c, period_s, r, scratch);
   }
 }
 

@@ -420,7 +420,9 @@ OfflineData collect_offline_data(soc::BigLittlePlatform& plat,
       // the policy is robust to arbitrary starting points.
       const soc::SocConfig at = k == 0 ? label : pending[i].observe_at[k - 1];
       const soc::SnippetResult r = plat.execute(snip, at);
-      data.policy.states.push_back(fx.policy_features(r.counters, at));
+      common::Vec state;
+      fx.policy_features_into(r.counters, at, state);
+      data.policy.states.push_back(std::move(state));
       data.policy.labels.push_back(label);
       data.model_samples.push_back(ModelSample{workload_features(r.counters, at), at,
                                                r.exec_time_s, r.counters.instructions_retired,

@@ -24,17 +24,6 @@ common::Mat slice_rows(const common::Mat& m, std::size_t r0, std::size_t r1) {
   return s;
 }
 
-common::Vec activate_vec(Activation act, const common::Vec& z) {
-  common::Vec a(z.size());
-  if (act == Activation::kTanh) {
-    for (std::size_t i = 0; i < z.size(); ++i) a[i] = std::tanh(z[i]);
-  } else {
-    for (std::size_t i = 0; i < z.size(); ++i) a[i] = z[i] > 0.0 ? z[i] : 0.0;
-  }
-  return a;
-}
-
-/// In-place variant of activate_vec: same elementwise math, no allocation.
 void activate_vec_inplace(Activation act, common::Vec& a) {
   if (act == Activation::kTanh) {
     for (std::size_t i = 0; i < a.size(); ++i) a[i] = std::tanh(a[i]);
@@ -115,17 +104,10 @@ DenseLayer& DenseLayer::operator=(const DenseLayer& o) {
   return *this;
 }
 
-common::Vec DenseLayer::forward(const common::Vec& x) const {
-  common::Vec y = w_ * x;
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] += b_[i];
-  return y;
-}
-
 // oal-lint: hot-path
 void DenseLayer::forward_into(const common::Vec& x, common::Vec& y) const {
   if (w_.cols() != x.size()) throw std::invalid_argument("Mat*Vec size mismatch");
-  // Same accumulation order as Mat::operator*(Vec) followed by the bias add,
-  // so the result is bitwise identical to forward().
+  // Same accumulation order as Mat::operator*(Vec) followed by the bias add.
   y.resize(w_.rows());  // oal-lint: allow(hot-path-alloc)  reaches capacity once, then no-op
   for (std::size_t i = 0; i < w_.rows(); ++i) {
     double s = 0.0;
@@ -188,17 +170,9 @@ Mlp::Mlp(std::size_t input_dim, std::size_t output_dim, MlpConfig cfg)
                        make_optimizer(cfg_.optimizer, cfg_.learning_rate, cfg_.l2));
 }
 
-common::Vec Mlp::forward(const common::Vec& x) const {
-  if (x.size() != input_dim_) throw std::invalid_argument("Mlp::forward: dim mismatch");
-  common::Vec a = x;
-  for (std::size_t l = 0; l + 1 < layers_.size(); ++l)
-    a = activate_vec(cfg_.activation, layers_[l].forward(a));
-  return layers_.back().forward(a);
-}
-
 // oal-lint: hot-path
 void Mlp::forward_into(const common::Vec& x, common::Vec& out, InferScratch& s) const {
-  if (x.size() != input_dim_) throw std::invalid_argument("Mlp::forward: dim mismatch");
+  if (x.size() != input_dim_) throw std::invalid_argument("Mlp::forward_into: dim mismatch");
   const common::Vec* cur = &x;
   bool use_a = true;
   for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
@@ -406,22 +380,19 @@ MultiHeadClassifier::MultiHeadClassifier(std::size_t input_dim, std::vector<std:
 
 std::vector<common::Vec> MultiHeadClassifier::predict_proba(const common::Vec& x) const {
   if (x.size() != input_dim_) throw std::invalid_argument("MultiHeadClassifier: dim mismatch");
-  common::Vec a = x;
-  for (const auto& layer : trunk_) a = activate_vec(cfg_.activation, layer.forward(a));
+  common::Vec a = x, z;
+  for (const auto& layer : trunk_) {
+    layer.forward_into(a, z);
+    activate_vec_inplace(cfg_.activation, z);
+    std::swap(a, z);
+  }
   std::vector<common::Vec> probs;
   probs.reserve(heads_.size());
-  for (const auto& head : heads_) probs.push_back(softmax(head.forward(a)));
+  for (const auto& head : heads_) {
+    head.forward_into(a, z);
+    probs.push_back(softmax(z));
+  }
   return probs;
-}
-
-std::vector<std::size_t> MultiHeadClassifier::predict(const common::Vec& x) const {
-  const auto probs = predict_proba(x);
-  std::vector<std::size_t> cls;
-  cls.reserve(probs.size());
-  for (const auto& p : probs)
-    cls.push_back(static_cast<std::size_t>(
-        std::distance(p.begin(), std::max_element(p.begin(), p.end()))));
-  return cls;
 }
 
 // oal-lint: hot-path

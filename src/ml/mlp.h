@@ -50,11 +50,8 @@ class DenseLayer {
   DenseLayer(DenseLayer&&) = default;
   DenseLayer& operator=(DenseLayer&&) = default;
 
-  common::Vec forward(const common::Vec& x) const;
-  /// Allocation-free forward: writes y = W*x + b into `y` (resized to
-  /// out_dim(); no reallocation once capacity suffices).  `y` must not alias
-  /// `x`.  Identical FP operation order to forward(), so the results are
-  /// bitwise equal.
+  /// Writes y = W*x + b into `y` (resized to out_dim(); no reallocation once
+  /// capacity suffices).  `y` must not alias `x`.
   void forward_into(const common::Vec& x, common::Vec& y) const;
   /// Batch forward: Y = X * W^T + b (rows = samples).
   common::Mat forward_batch(const common::Mat& x) const;
@@ -108,17 +105,14 @@ class Mlp {
  public:
   Mlp(std::size_t input_dim, std::size_t output_dim, MlpConfig cfg = {});
 
-  common::Vec forward(const common::Vec& x) const;
-
-  /// Reusable activation buffers for the allocation-free inference path.
-  /// Sized lazily on first use (max layer width), then stable: a controller
-  /// owning one InferScratch per network performs zero steady-state heap
-  /// allocations per forward_into() call.
+  /// Reusable activation buffers of forward_into().  Sized lazily on first
+  /// use (max layer width), then stable: a controller owning one
+  /// InferScratch per network performs zero steady-state heap allocations
+  /// per call.
   struct InferScratch {
     common::Vec a, b;
   };
-  /// Allocation-free inference into `out` (must not alias `x`).  Bitwise
-  /// identical to forward(): same per-layer FP operation order.
+  /// Inference on one sample into `out` (must not alias `x`).
   void forward_into(const common::Vec& x, common::Vec& out, InferScratch& s) const;
 
   /// Batch inference: rows = samples.
@@ -156,7 +150,7 @@ class Mlp {
   /// Appends every layer's parameters to `out` (see DenseLayer::append_params).
   void export_params(std::vector<double>& out) const;
   /// Restores parameters into a network of identical architecture; false on
-  /// underrun.  forward() is then bitwise identical to the exported network's.
+  /// underrun.  Inference is then bitwise identical to the exported network's.
   bool import_params(const std::vector<double>& in, std::size_t& pos);
 
  private:
@@ -184,10 +178,8 @@ class MultiHeadClassifier {
 
   /// Per-head class probabilities.
   std::vector<common::Vec> predict_proba(const common::Vec& x) const;
-  /// Per-head argmax class.
-  std::vector<std::size_t> predict(const common::Vec& x) const;
 
-  /// Reusable trunk/logit buffers for the allocation-free decision path.
+  /// Reusable trunk/logit buffers of predict_into().
   struct InferScratch {
     common::Vec a, b, logits;
   };
@@ -195,8 +187,8 @@ class MultiHeadClassifier {
   /// directly from the head logits — the softmax is skipped entirely.  exp
   /// is strictly increasing and the per-head division by the partition sum
   /// is monotone, so the logit argmax (first-max tie-break, exactly
-  /// std::max_element's) equals predict()'s softmax argmax; the equivalence
-  /// is asserted bitwise in tests/test_hot_path_alloc.cpp.  Zero heap
+  /// std::max_element's) equals the argmax of predict_proba(); the
+  /// equivalence is asserted in tests/test_hot_path_alloc.cpp.  Zero heap
   /// allocations once the scratch buffers have grown to the layer widths.
   void predict_into(const common::Vec& x, std::vector<std::size_t>& cls, InferScratch& s) const;
 

@@ -16,11 +16,6 @@ double RecursiveLeastSquares::predict(const common::Vec& x) const {
   return common::dot(theta_, x);
 }
 
-double RecursiveLeastSquares::update(const common::Vec& x, double y) {
-  Scratch scratch;
-  return update(x, y, scratch);
-}
-
 // oal-lint: hot-path
 double RecursiveLeastSquares::update(const common::Vec& x, double y, Scratch& scratch) {
   if (x.size() != theta_.size()) throw std::invalid_argument("RLS: feature dim mismatch");

@@ -24,21 +24,17 @@ class RecursiveLeastSquares {
   /// Predicted output theta^T x.
   double predict(const common::Vec& x) const;
 
-  /// Reusable temporaries for the allocation-free update overload.  One
-  /// Scratch serves models of any dim (buffers grow to the largest dim seen
-  /// and then stop allocating), so a controller can share one across its
-  /// per-frame refits.
+  /// Reusable temporaries of update().  One Scratch serves models of any dim
+  /// (buffers grow to the largest dim seen and then stop allocating), so a
+  /// controller can share one across its per-frame refits.
   struct Scratch {
     common::Vec px;  ///< P x
     common::Vec k;   ///< Kalman gain K
   };
 
   /// One RLS update step; returns the a-priori prediction error (y - theta^T x).
-  double update(const common::Vec& x, double y);
-
-  /// Allocation-free update: arithmetic identical (bitwise) to
-  /// update(x, y), with the temporaries parked in `scratch`.  Steady-state
-  /// it performs no heap allocation; update(x, y) is a thin wrapper.
+  /// The temporaries live in `scratch`, so steady-state it performs no heap
+  /// allocation.
   double update(const common::Vec& x, double y, Scratch& scratch);
 
   const common::Vec& weights() const { return theta_; }

@@ -40,14 +40,6 @@ common::Vec StandardScaler::stds() const {
   return s;
 }
 
-common::Vec StandardScaler::transform(const common::Vec& x) const {
-  if (x.size() != mean_.size()) throw std::invalid_argument("StandardScaler: dim mismatch");
-  const common::Vec s = stds();
-  common::Vec z(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) z[i] = (x[i] - mean_[i]) / s[i];
-  return z;
-}
-
 void StandardScaler::transform_into(const common::Vec& x, common::Vec& z,
                                     TransformCache& cache) const {
   if (x.size() != mean_.size()) throw std::invalid_argument("StandardScaler: dim mismatch");
@@ -57,14 +49,6 @@ void StandardScaler::transform_into(const common::Vec& x, common::Vec& z,
   }
   z.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) z[i] = (x[i] - mean_[i]) / cache.stds[i];
-}
-
-common::Vec StandardScaler::inverse_transform(const common::Vec& z) const {
-  if (z.size() != mean_.size()) throw std::invalid_argument("StandardScaler: dim mismatch");
-  const common::Vec s = stds();
-  common::Vec x(z.size());
-  for (std::size_t i = 0; i < z.size(); ++i) x[i] = z[i] * s[i] + mean_[i];
-  return x;
 }
 
 void StandardScaler::export_state(std::vector<double>& out) const {

@@ -24,19 +24,16 @@ class StandardScaler {
   /// Online (streaming) update of mean/variance via Welford's algorithm.
   void partial_fit(const common::Vec& x);
 
-  common::Vec transform(const common::Vec& x) const;
-  common::Vec inverse_transform(const common::Vec& z) const;
-
-  /// Caller-owned cache of the derived stds for the allocation-free path.
-  /// `count` stamps the fit the stds were computed from; transform_into
-  /// recomputes them only when the scaler has been (re)fit since — a
-  /// policy-update event, never the steady-state decide path.
+  /// Caller-owned cache of the derived stds.  `count` stamps the fit the
+  /// stds were computed from; transform_into recomputes them only when the
+  /// scaler has been (re)fit since — a policy-update event, never the
+  /// steady-state decide path.
   struct TransformCache {
     common::Vec stds;
     std::size_t count = static_cast<std::size_t>(-1);
   };
-  /// Allocation-free transform (once `z`/`cache` have their capacity):
-  /// identical arithmetic to transform(), bitwise-equal results.
+  /// z = (x - mean) / stds().  Allocation-free once `z`/`cache` have their
+  /// capacity; a batch transform reuses one cache across its rows.
   void transform_into(const common::Vec& x, common::Vec& z, TransformCache& cache) const;
 
   std::size_t dim() const { return mean_.size(); }
@@ -53,7 +50,8 @@ class StandardScaler {
   common::Vec stds() const;
 
   /// Appends {dim, count, mean, m2} to `out` — enough to reconstruct the
-  /// scaler exactly (transform() of the restored scaler is bitwise identical).
+  /// scaler exactly (transform_into() of the restored scaler is bitwise
+  /// identical).
   void export_state(std::vector<double>& out) const;
   /// Restores what export_state wrote; false on underrun or a nonsensical
   /// dimension, leaving the scaler unchanged in that case.

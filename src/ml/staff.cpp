@@ -39,7 +39,7 @@ double StaffModel::update(const common::Vec& x, double y) {
   }
 
   const common::Vec xm = masked(x);
-  const double err = rls_.update(xm, y);
+  const double err = rls_.update(xm, y, rls_scratch_);
   adapt_lambda(err, xm);
 
   if (cfg_.top_k > 0 && rls_.updates() >= cfg_.warmup &&

@@ -65,6 +65,7 @@ class StaffModel {
 
   StaffConfig cfg_;
   RecursiveLeastSquares rls_;
+  RecursiveLeastSquares::Scratch rls_scratch_;
   std::vector<bool> active_;
   // Streaming feature statistics for contribution scoring.
   common::Vec feat_mean_;

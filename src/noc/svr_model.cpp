@@ -49,7 +49,10 @@ SvrNocModel::SvrNocModel(const Mesh& mesh, NocParams params, std::size_t rbf_fea
       residual_(9, ml::RlsConfig{0.99, 1.0, 0.0}) {}
 
 common::Vec SvrNocModel::transformed(const TrafficMatrix& t) const {
-  return sampler_.transform(scaler_.transform(noc_features(model_, mesh_, t)));
+  ml::StandardScaler::TransformCache cache;
+  common::Vec z;
+  scaler_.transform_into(noc_features(model_, mesh_, t), z, cache);
+  return sampler_.transform(z);
 }
 
 common::Vec SvrNocModel::residual_features(const TrafficMatrix& t) const {
@@ -57,7 +60,9 @@ common::Vec SvrNocModel::residual_features(const TrafficMatrix& t) const {
   // way that is close to linear in the waiting-time features, and a
   // low-dimensional residual cannot destabilize distant predictions the way
   // a high-dimensional RBF residual can.
-  common::Vec f = scaler_.transform(noc_features(model_, mesh_, t));
+  ml::StandardScaler::TransformCache cache;
+  common::Vec f;
+  scaler_.transform_into(noc_features(model_, mesh_, t), f, cache);
   f.push_back(1.0);
   return f;
 }
@@ -75,11 +80,14 @@ void SvrNocModel::fit(const std::vector<TrafficMatrix>& traffics,
   std::vector<double> target;
   z.reserve(raw.size());
   target.reserve(raw.size());
+  ml::StandardScaler::TransformCache cache;
+  common::Vec scaled;
   // The SVR learns the *residual* of the queueing-theoretic model, so the
   // combined predictor can only refine — never regress below — the
   // analytical baseline it is built on.
   for (std::size_t i = 0; i < traffics.size(); ++i) {
-    z.push_back(sampler_.transform(scaler_.transform(raw[i])));
+    scaler_.transform_into(raw[i], scaled, cache);
+    z.push_back(sampler_.transform(scaled));
     target.push_back(sim_latency[i] - model_.evaluate(traffics[i]).avg_latency_cycles);
   }
   ml::SvrConfig cfg;
@@ -107,7 +115,7 @@ void SvrNocModel::update(const TrafficMatrix& t, double measured_latency) {
   double target = measured_latency - base;
   const double clip = 0.5 * std::max(base, 1.0);
   target = std::clamp(target, -clip, clip);
-  residual_.update(residual_features(t), target);
+  residual_.update(residual_features(t), target, residual_scratch_);
 }
 
 double SvrNocModel::analytical(const TrafficMatrix& t) const {

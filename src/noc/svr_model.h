@@ -55,6 +55,7 @@ class SvrNocModel {
   ml::RbfSampler sampler_;
   ml::LinearSvr svr_;
   ml::RecursiveLeastSquares residual_;  // online residual (linear, raw features)
+  ml::RecursiveLeastSquares::Scratch residual_scratch_;
   bool fitted_ = false;
 };
 

@@ -47,13 +47,6 @@ std::vector<SocConfig> ConfigSpace::enumerate() const {
   return all;
 }
 
-std::vector<SocConfig> ConfigSpace::neighborhood(const SocConfig& c, int radius,
-                                                 int max_changed_knobs) const {
-  std::vector<SocConfig> result;
-  neighborhood_into(c, radius, max_changed_knobs, result);
-  return result;
-}
-
 void ConfigSpace::neighborhood_into(const SocConfig& c, int radius, int max_changed_knobs,
                                     std::vector<SocConfig>& result) const {
   if (!valid(c)) throw std::invalid_argument("ConfigSpace::neighborhood: invalid config");
@@ -71,12 +64,6 @@ void ConfigSpace::neighborhood_into(const SocConfig& c, int radius, int max_chan
       }
     }
   }
-}
-
-std::vector<SocConfig> ConfigSpace::cluster_sweeps(const SocConfig& c) const {
-  std::vector<SocConfig> result;
-  cluster_sweeps_into(c, result);
-  return result;
 }
 
 void ConfigSpace::cluster_sweeps_into(const SocConfig& c, std::vector<SocConfig>& result) const {

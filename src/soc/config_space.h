@@ -58,11 +58,9 @@ class ConfigSpace {
   /// Configurations whose knob indices each differ by at most `radius` steps
   /// from `c`, with at most `max_changed_knobs` knobs changed simultaneously.
   /// Includes `c` itself.  This is the candidate set of the online-IL search.
-  std::vector<SocConfig> neighborhood(const SocConfig& c, int radius = 1,
-                                      int max_changed_knobs = 4) const;
-  /// Same candidate set built into a caller-owned buffer (cleared first, so
-  /// a reused buffer's capacity is recycled and the per-decision search does
-  /// not allocate once warmed up).  Identical contents and order.
+  /// Built into a caller-owned buffer (cleared first, so a reused buffer's
+  /// capacity is recycled and the per-decision search does not allocate once
+  /// warmed up).
   void neighborhood_into(const SocConfig& c, int radius, int max_changed_knobs,
                          std::vector<SocConfig>& out) const;
 
@@ -73,9 +71,8 @@ class ConfigSpace {
   /// big cluster at 1.3 GHz"), and single-knob moves cannot cross the energy
   /// valley between cluster-off and cluster-on-at-speed; the exclusive
   /// variants additionally make canonical "little-only"/"big-only" operating
-  /// points reachable in one move.  2*(4*13) + 2*(5*19) = 294 configs.
-  std::vector<SocConfig> cluster_sweeps(const SocConfig& c) const;
-  /// Buffer-reusing form of cluster_sweeps (see neighborhood_into).
+  /// points reachable in one move.  2*(4*13) + 2*(5*19) = 294 configs,
+  /// built into a reused buffer like neighborhood_into.
   void cluster_sweeps_into(const SocConfig& c, std::vector<SocConfig>& out) const;
 
   /// Number of levels per knob, in order (little cores, big cores, f_little,

@@ -59,7 +59,6 @@ void RcThermalNetwork::set_temperatures(common::Vec t) {
   temp_ = std::move(t);
 }
 
-void RcThermalNetwork::reset_to_ambient() { std::fill(temp_.begin(), temp_.end(), ambient_c_); }
 
 void RcThermalNetwork::step(const common::Vec& power_w, double dt_s) {
   if (power_w.size() != temp_.size()) throw std::invalid_argument("step: power size mismatch");

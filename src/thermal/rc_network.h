@@ -44,7 +44,6 @@ class RcThermalNetwork {
   /// Current temperatures (deg C).
   const common::Vec& temperatures() const { return temp_; }
   void set_temperatures(common::Vec t);
-  void reset_to_ambient();
 
   /// Advance by dt seconds under constant node powers (W).  Internally uses
   /// sub-stepped forward Euler with a stability-bounded step.

@@ -53,7 +53,7 @@ void SkinTemperatureEstimator::fit(const std::vector<common::Vec>& sensor_readin
 }
 
 void SkinTemperatureEstimator::update(const common::Vec& sensor_reading, double skin_c) {
-  rls_.update(with_bias(sensor_reading), skin_c);
+  rls_.update(with_bias(sensor_reading), skin_c, rls_scratch_);
   fitted_ = true;
 }
 

@@ -57,6 +57,7 @@ class SkinTemperatureEstimator {
  private:
   std::size_t dim_;
   ml::RecursiveLeastSquares rls_;
+  ml::RecursiveLeastSquares::Scratch rls_scratch_;
   bool fitted_ = false;
 };
 

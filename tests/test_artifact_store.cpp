@@ -231,7 +231,7 @@ TEST(Collect, PooledMatchesSerialBitwise) {
   EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
 }
 
-TEST(IlPolicy, ArtifactRoundTripsDecisionsAndBookkeeping) {
+TEST(IlPolicy, ArtifactRoundTripsDecisionsAndFinalLoss) {
   soc::BigLittlePlatform plat;
   common::Rng rng(7);
   const auto mibench = workloads::CpuBenchmarks::of_suite(workloads::Suite::kMiBench);
@@ -242,8 +242,9 @@ TEST(IlPolicy, ArtifactRoundTripsDecisionsAndBookkeeping) {
 
   IlPolicy restored(plat.space());
   ASSERT_TRUE(restored.import_artifact(trained.export_artifact()));
-  for (const auto& s : off.policy.states) EXPECT_EQ(restored.decide(s), trained.decide(s));
-  EXPECT_EQ(restored.train_time_s(), trained.train_time_s());
+  IlPolicy::Scratch scratch;
+  for (const auto& s : off.policy.states)
+    EXPECT_EQ(restored.decide(s, scratch), trained.decide(s, scratch));
   EXPECT_EQ(restored.last_train_loss(), trained.last_train_loss());
   EXPECT_EQ(restored.export_artifact(), trained.export_artifact());
 
@@ -255,6 +256,28 @@ TEST(IlPolicy, ArtifactRoundTripsDecisionsAndBookkeeping) {
   bad = trained.export_artifact();
   bad.push_back(0.0);
   EXPECT_FALSE(untouched.import_artifact(bad));  // trailing garbage rejected
+}
+
+TEST(IlPolicy, RestoredPolicyReportsNoTrainingTime) {
+  // A store-restored policy did no training in this process, so it must not
+  // report the wall-time of the cold run that exported it.
+  soc::ConfigSpace space;
+  common::Rng rng(3);
+  PolicyDataset ds;
+  for (std::size_t i = 0; i < 64; ++i) {
+    common::Vec s(12);
+    for (double& v : s) v = rng.uniform(-1.0, 1.0);
+    ds.states.push_back(std::move(s));
+    ds.labels.push_back(space.config_at(i * 71 % space.size()));
+  }
+  IlPolicy trained(space);
+  trained.train_offline(ds, rng);
+  ASSERT_GT(trained.train_time_s(), 0.0);
+
+  IlPolicy restored(space);
+  ASSERT_TRUE(restored.import_artifact(trained.export_artifact()));
+  EXPECT_EQ(restored.train_time_s(), 0.0);
+  EXPECT_EQ(restored.last_train_loss(), trained.last_train_loss());
 }
 
 TEST(TabularQ, StateRoundTripContinuesIdentically) {

@@ -8,6 +8,13 @@
 namespace oal::soc {
 namespace {
 
+std::vector<SocConfig> neighborhood(const ConfigSpace& space, const SocConfig& c, int radius,
+                                    int max_changed_knobs) {
+  std::vector<SocConfig> out;
+  space.neighborhood_into(c, radius, max_changed_knobs, out);
+  return out;
+}
+
 TEST(ConfigSpace, SizeMatchesPaper) {
   ConfigSpace space;
   // 4 little-core counts x 5 big-core counts x 13 little freqs x 19 big freqs
@@ -58,7 +65,7 @@ TEST(ConfigSpace, IndexOfInvalidThrows) {
 TEST(ConfigSpace, NeighborhoodRadiusOne) {
   ConfigSpace space;
   const SocConfig c{2, 2, 6, 9};
-  const auto n = space.neighborhood(c, 1, 4);
+  const auto n = neighborhood(space, c, 1, 4);
   // Interior config: 3^4 = 81 candidates including itself.
   EXPECT_EQ(n.size(), 81u);
   for (const auto& x : n) {
@@ -73,7 +80,7 @@ TEST(ConfigSpace, NeighborhoodRadiusOne) {
 TEST(ConfigSpace, NeighborhoodClampedAtBoundary) {
   ConfigSpace space;
   const SocConfig corner{1, 0, 0, 0};
-  const auto n = space.neighborhood(corner, 1, 4);
+  const auto n = neighborhood(space, corner, 1, 4);
   // Each knob has only 2 feasible values at the corner: 2^4 = 16.
   EXPECT_EQ(n.size(), 16u);
 }
@@ -81,18 +88,34 @@ TEST(ConfigSpace, NeighborhoodClampedAtBoundary) {
 TEST(ConfigSpace, NeighborhoodMaxChangedKnobs) {
   ConfigSpace space;
   const SocConfig c{2, 2, 6, 9};
-  const auto n1 = space.neighborhood(c, 1, 1);
+  const auto n1 = neighborhood(space, c, 1, 1);
   // Itself + 2 moves per knob * 4 knobs = 9.
   EXPECT_EQ(n1.size(), 9u);
-  const auto n2 = space.neighborhood(c, 1, 2);
+  const auto n2 = neighborhood(space, c, 1, 2);
   // 1 + 8 + C(4,2)*4 = 33.
   EXPECT_EQ(n2.size(), 33u);
+}
+
+TEST(ConfigSpace, SweepsIntoAReusedBufferReplaceItsContents) {
+  // The online-IL search reuses one candidate buffer per decision: each call
+  // clears it first, so a stale, longer candidate list never leaks through.
+  ConfigSpace space;
+  const SocConfig c{2, 2, 6, 9};
+  std::vector<SocConfig> buf;
+  space.cluster_sweeps_into(c, buf);
+  ASSERT_GT(buf.size(), 81u);
+  space.neighborhood_into(c, 1, 4, buf);
+  EXPECT_EQ(buf, neighborhood(space, c, 1, 4));
+  EXPECT_EQ(buf.size(), 81u);
+  EXPECT_THROW(space.neighborhood_into({0, 0, 0, 0}, 1, 4, buf), std::invalid_argument);
+  EXPECT_THROW(space.cluster_sweeps_into({0, 0, 0, 0}, buf), std::invalid_argument);
 }
 
 TEST(ConfigSpace, ClusterSweepsCoverBothClustersAndExclusiveRoles) {
   ConfigSpace space;
   const SocConfig c{2, 2, 6, 9};
-  const auto s = space.cluster_sweeps(c);
+  std::vector<SocConfig> s;
+  space.cluster_sweeps_into(c, s);
   EXPECT_EQ(s.size(), 2u * (4u * 13u) + 2u * (5u * 19u));
   bool saw_big_off_fast = false, saw_little_max = false, saw_little_only = false,
        saw_big_only = false;

@@ -37,6 +37,23 @@ Scenario governor_scenario(const std::string& id, const std::string& app, std::u
   return s;
 }
 
+/// Runs a DRM-only batch through the engine's one entry point (run_any) and
+/// unwraps each result's RunResult payload, in id order.
+std::vector<ScenarioResult> run_drm(ExperimentEngine& engine, const std::vector<Scenario>& batch) {
+  std::vector<ScenarioResult> out;
+  engine.run_any(std::vector<AnyScenario>(batch.begin(), batch.end()), [&](AnyResult&& r) {
+    out.push_back(ScenarioResult{r.id(), r.as<RunResult>(), {}});
+  });
+  return out;
+}
+
+/// Builds every registered scenario `prefix` selects, in name order.
+std::vector<AnyScenario> build_all(const ScenarioRegistry& reg, const std::string& prefix = "") {
+  std::vector<AnyScenario> out;
+  for (const std::string& name : reg.names(prefix)) out.push_back(reg.build_any(name));
+  return out;
+}
+
 /// A batch of >= 8 scenarios mixing apps, seeds, and controllers — including
 /// stateful Online-IL arms whose candidate search and exploration draw from
 /// per-scenario Rng streams.
@@ -164,7 +181,7 @@ TEST(ThreadPool, ZeroTasksIsANoOp) {
 
 TEST(Experiment, EmptyBatchYieldsEmptyResults) {
   ExperimentEngine engine(ExperimentOptions{2});
-  EXPECT_TRUE(engine.run_batch({}).empty());
+  EXPECT_TRUE(run_drm(engine, {}).empty());
 }
 
 TEST(Experiment, ParallelMatchesSerialBitwise) {
@@ -173,8 +190,8 @@ TEST(Experiment, ParallelMatchesSerialBitwise) {
 
   ExperimentEngine serial(ExperimentOptions{1});
   ExperimentEngine parallel(ExperimentOptions{4});
-  const auto rs = serial.run_batch(batch);
-  const auto rp = parallel.run_batch(batch);
+  const auto rs = run_drm(serial, batch);
+  const auto rp = run_drm(parallel, batch);
 
   ASSERT_EQ(rs.size(), batch.size());
   ASSERT_EQ(rp.size(), batch.size());
@@ -197,8 +214,8 @@ TEST(Experiment, ParallelMatchesSerialBitwise) {
 TEST(Experiment, RepeatedParallelRunsAreIdentical) {
   const auto batch = mixed_batch();
   ExperimentEngine engine(ExperimentOptions{4});
-  const auto r1 = engine.run_batch(batch);
-  const auto r2 = engine.run_batch(batch);
+  const auto r1 = run_drm(engine, batch);
+  const auto r2 = run_drm(engine, batch);
   ASSERT_EQ(r1.size(), r2.size());
   for (std::size_t i = 0; i < r1.size(); ++i)
     EXPECT_EQ(r1[i].run.energy_ratio(), r2[i].run.energy_ratio());
@@ -210,7 +227,7 @@ TEST(Experiment, ResultsOrderedByScenarioId) {
   batch.push_back(governor_scenario("a", "FFT", 2));
   batch.push_back(governor_scenario("m", "Qsort", 3));
   ExperimentEngine engine(ExperimentOptions{2});
-  const auto res = engine.run_batch(batch);
+  const auto res = run_drm(engine, batch);
   ASSERT_EQ(res.size(), 3u);
   EXPECT_EQ(res[0].id, "a");
   EXPECT_EQ(res[1].id, "m");
@@ -225,7 +242,7 @@ TEST(Experiment, ThrowingFactoryPropagates) {
   };
   batch.insert(batch.begin() + 2, std::move(bad));
   ExperimentEngine engine(ExperimentOptions{4});
-  EXPECT_THROW(engine.run_batch(batch), std::runtime_error);
+  EXPECT_THROW(run_drm(engine, batch), std::runtime_error);
 }
 
 TEST(Experiment, NullFactoryAndBadIdsAreRejected) {
@@ -233,15 +250,15 @@ TEST(Experiment, NullFactoryAndBadIdsAreRejected) {
   {
     Scenario s = governor_scenario("s", "SHA", 1);
     s.make_controller = nullptr;
-    EXPECT_THROW(engine.run_batch({s}), std::invalid_argument);
+    EXPECT_THROW(run_drm(engine, {s}), std::invalid_argument);
   }
   {
     Scenario s = governor_scenario("", "SHA", 1);
-    EXPECT_THROW(engine.run_batch({s}), std::invalid_argument);
+    EXPECT_THROW(run_drm(engine, {s}), std::invalid_argument);
   }
   {
     EXPECT_THROW(
-        engine.run_batch({governor_scenario("dup", "SHA", 1), governor_scenario("dup", "FFT", 2)}),
+        run_drm(engine, {governor_scenario("dup", "SHA", 1), governor_scenario("dup", "FFT", 2)}),
         std::invalid_argument);
   }
 }
@@ -267,7 +284,7 @@ TEST(Experiment, WarmupRunsBeforeRecordedTrace) {
     return ControllerInstance{std::make_unique<CountingController>(steps), nullptr};
   };
   ExperimentEngine engine(ExperimentOptions{1});
-  const auto res = engine.run_batch({s});
+  const auto res = run_drm(engine, {s});
   ASSERT_EQ(res.size(), 1u);
   EXPECT_EQ(res[0].run.records.size(), 10u);
   EXPECT_EQ(steps->load(), 15);  // 5 warmup + 10 recorded
@@ -281,7 +298,7 @@ TEST(Experiment, OnCompleteSeesLiveController) {
     EXPECT_EQ(run.records.size(), 10u);
   };
   ExperimentEngine engine(ExperimentOptions{2});
-  (void)engine.run_batch({s});
+  (void)run_drm(engine, {s});
   EXPECT_EQ(*name, "ondemand");
 }
 
@@ -430,9 +447,9 @@ AnyScenario cheap_scenario(const std::string& id) {
   });
 }
 
-TEST(Experiment, VectorApisAreThinWrappersOverTheSink) {
-  // The vector-returning run_any/run_batch are sink wrappers; collecting
-  // through the sink by hand must reproduce them bitwise, ids in order.
+TEST(Experiment, VectorApiIsAThinWrapperOverTheSink) {
+  // The vector-returning run_any is a sink wrapper; collecting through the
+  // sink by hand must reproduce it bitwise, ids in order.
   const auto any_batch = [] {
     std::vector<AnyScenario> b;
     b.emplace_back(governor_scenario("w/2", "SHA", 1));
@@ -450,17 +467,6 @@ TEST(Experiment, VectorApisAreThinWrappersOverTheSink) {
     ASSERT_EQ(sunk[i].metrics().size(), vec[i].metrics().size());
     for (std::size_t k = 0; k < vec[i].metrics().size(); ++k)
       EXPECT_EQ(sunk[i].metrics()[k].second, vec[i].metrics()[k].second);
-  }
-
-  const std::vector<Scenario> drm_batch{governor_scenario("d/1", "SHA", 3),
-                                        governor_scenario("d/0", "Qsort", 4)};
-  const auto drm_vec = engine.run_batch(drm_batch);
-  std::vector<ScenarioResult> drm_sunk;
-  engine.run_batch(drm_batch, [&](ScenarioResult&& r) { drm_sunk.push_back(std::move(r)); });
-  ASSERT_EQ(drm_sunk.size(), drm_vec.size());
-  for (std::size_t i = 0; i < drm_vec.size(); ++i) {
-    EXPECT_EQ(drm_sunk[i].id, drm_vec[i].id);
-    EXPECT_EQ(drm_sunk[i].run.total_energy_j(), drm_vec[i].run.total_energy_j());
   }
 }
 
@@ -865,10 +871,10 @@ TEST(Experiment, TelemetryChannelDoesNotPerturbBlindControllers) {
 TEST(ScenarioRegistry, PrefixMatchesOnSegmentBoundaries) {
   // Regression: a raw string prefix "fig1" used to also select "fig10/...".
   ScenarioRegistry reg;
-  reg.add("fig1", [] { return governor_scenario("", "SHA", 1); });
-  reg.add("fig1/a", [] { return governor_scenario("", "FFT", 2); });
-  reg.add("fig1/b", [] { return governor_scenario("", "Qsort", 3); });
-  reg.add("fig10/a", [] { return governor_scenario("", "Kmeans", 4); });
+  reg.add_any("fig1", [] { return governor_scenario("", "SHA", 1); });
+  reg.add_any("fig1/a", [] { return governor_scenario("", "FFT", 2); });
+  reg.add_any("fig1/b", [] { return governor_scenario("", "Qsort", 3); });
+  reg.add_any("fig10/a", [] { return governor_scenario("", "Kmeans", 4); });
 
   const auto names = reg.names("fig1");
   ASSERT_EQ(names.size(), 3u);
@@ -876,9 +882,9 @@ TEST(ScenarioRegistry, PrefixMatchesOnSegmentBoundaries) {
   EXPECT_EQ(names[1], "fig1/a");
   EXPECT_EQ(names[2], "fig1/b");
 
-  const auto batch = reg.build_batch("fig1");
+  const auto batch = build_all(reg, "fig1");
   ASSERT_EQ(batch.size(), 3u);
-  for (const auto& s : batch) EXPECT_EQ(s.id.rfind("fig10/", 0), std::string::npos);
+  for (const auto& s : batch) EXPECT_EQ(s.id().rfind("fig10/", 0), std::string::npos);
 
   // A trailing-slash prefix selects the family only (not the bare name).
   const auto slash_names = reg.names("fig1/");
@@ -892,9 +898,9 @@ TEST(ScenarioRegistry, PrefixMatchesOnSegmentBoundaries) {
 
 TEST(ScenarioRegistry, BuildsByPrefixInNameOrder) {
   ScenarioRegistry reg;
-  reg.add("b/2", [] { return governor_scenario("", "SHA", 1); });
-  reg.add("a/1", [] { return governor_scenario("", "FFT", 2); });
-  reg.add("b/1", [] { return governor_scenario("", "Qsort", 3); });
+  reg.add_any("b/2", [] { return governor_scenario("", "SHA", 1); });
+  reg.add_any("a/1", [] { return governor_scenario("", "FFT", 2); });
+  reg.add_any("b/1", [] { return governor_scenario("", "Qsort", 3); });
   EXPECT_EQ(reg.size(), 3u);
   EXPECT_TRUE(reg.contains("a/1"));
   EXPECT_FALSE(reg.contains("c/1"));
@@ -903,14 +909,14 @@ TEST(ScenarioRegistry, BuildsByPrefixInNameOrder) {
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0], "a/1");
 
-  const auto batch = reg.build_batch("b/");
+  const auto batch = build_all(reg, "b/");
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].id, "b/1");  // builder id overridden by registry name
-  EXPECT_EQ(batch[1].id, "b/2");
+  EXPECT_EQ(batch[0].id(), "b/1");  // builder id overridden by registry name
+  EXPECT_EQ(batch[1].id(), "b/2");
 
-  EXPECT_THROW(reg.build("missing"), std::invalid_argument);
-  EXPECT_THROW(reg.add("a/1", [] { return Scenario{}; }), std::invalid_argument);
-  EXPECT_THROW(reg.add("", [] { return Scenario{}; }), std::invalid_argument);
+  EXPECT_THROW(reg.build_any("missing"), std::invalid_argument);
+  EXPECT_THROW(reg.add_any("a/1", [] { return Scenario{}; }), std::invalid_argument);
+  EXPECT_THROW(reg.add_any("", [] { return Scenario{}; }), std::invalid_argument);
 }
 
 /// A small NoC traffic point for cross-domain registry batches.
@@ -922,11 +928,11 @@ NocScenario noc_scenario(std::uint64_t seed) {
 }
 
 /// A four-domain catalog: DRM governors, GPU-ENMPC, NoC points, and
-/// thermally-constrained DRM, all behind AnyBuilder entries (plus one
-/// DRM-typed Builder to prove the flavors mix).
+/// thermally-constrained DRM (one builder returns a plain Scenario to prove
+/// the implicit conversion to AnyScenario).
 ScenarioRegistry cross_domain_registry() {
   ScenarioRegistry reg;
-  reg.add("drm/gov/0", [] { return governor_scenario("", "SHA", 31); });  // DRM-typed entry
+  reg.add_any("drm/gov/0", [] { return governor_scenario("", "SHA", 31); });  // returns Scenario
   reg.add_any("drm/gov/1", [] { return AnyScenario(governor_scenario("", "Kmeans", 32)); });
   reg.add_any("gpu/enmpc/0", [] { return AnyScenario(gpu_enmpc_scenario("", 41)); });
   reg.add_any("noc/uniform/0", [] { return AnyScenario(noc_scenario(7)); });
@@ -942,7 +948,7 @@ TEST(ScenarioRegistry, CrossDomainBatchParallelMatchesSerialBitwise) {
   // A registry-built mixed batch (DRM + GPU-ENMPC + NoC + thermal) must obey
   // the engine's bitwise-determinism contract like a hand-built one.
   const ScenarioRegistry reg = cross_domain_registry();
-  const auto batch = reg.build_batch_any();
+  const auto batch = build_all(reg);
   ASSERT_EQ(batch.size(), 6u);
 
   ExperimentEngine serial(ExperimentOptions{1});
@@ -980,12 +986,12 @@ TEST(ScenarioRegistry, PrefixSelectionAcrossFamilies) {
   EXPECT_EQ(reg.names("drm").size(), 2u);
   EXPECT_EQ(reg.names().size(), 6u);
 
-  const auto batch = reg.build_batch_any("gpu");
+  const auto batch = build_all(reg, "gpu");
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].id(), "gpu/enmpc/0");
 
   ExperimentEngine engine(ExperimentOptions{2});
-  const auto res = engine.run_any(reg.build_batch_any("noc"));
+  const auto res = engine.run_any(build_all(reg, "noc"));
   ASSERT_EQ(res.size(), 2u);
   EXPECT_EQ(res[0].id(), "noc/uniform/0");
   EXPECT_GT(res[0].metric("sim_avg_latency_cycles"), 0.0);
@@ -994,33 +1000,29 @@ TEST(ScenarioRegistry, PrefixSelectionAcrossFamilies) {
 TEST(ScenarioRegistry, AnyBuilderErrors) {
   ScenarioRegistry reg;
   reg.add_any("any/0", [] { return AnyScenario(noc_scenario(1)); });
-  // Duplicates are rejected across both builder flavors (one namespace).
+  // Duplicates are rejected whatever the builder returns (one namespace).
   EXPECT_THROW(reg.add_any("any/0", [] { return AnyScenario(noc_scenario(2)); }),
                std::invalid_argument);
-  EXPECT_THROW(reg.add("any/0", [] { return Scenario{}; }), std::invalid_argument);
+  EXPECT_THROW(reg.add_any("any/0", [] { return Scenario{}; }), std::invalid_argument);
   EXPECT_THROW(reg.add_any("", [] { return AnyScenario(noc_scenario(3)); }),
                std::invalid_argument);
   EXPECT_THROW(reg.add_any("null", nullptr), std::invalid_argument);
   EXPECT_THROW(reg.build_any("missing"), std::invalid_argument);
-  // A cross-domain entry has no DRM Scenario to return.
-  EXPECT_THROW(reg.build("any/0"), std::invalid_argument);
-  EXPECT_THROW(reg.build_batch(""), std::invalid_argument);
-  // ... but the any-typed accessors reach DRM-typed entries.
-  reg.add("drm/0", [] { return governor_scenario("", "SHA", 5); });
+  // A builder returning a DRM Scenario is renamed like any other.
+  reg.add_any("drm/0", [] { return governor_scenario("", "SHA", 5); });
   EXPECT_EQ(reg.build_any("drm/0").id(), "drm/0");
-  EXPECT_EQ(reg.build("drm/0").id, "drm/0");
 }
 
 TEST(ScenarioRegistry, RegistryBatchRunsOnEngine) {
   ScenarioRegistry reg;
-  reg.add("run/0", [] { return governor_scenario("", "SHA", 21); });
-  reg.add("run/1", [] { return governor_scenario("", "FFT", 22); });
+  reg.add_any("run/0", [] { return governor_scenario("", "SHA", 21); });
+  reg.add_any("run/1", [] { return governor_scenario("", "FFT", 22); });
   ExperimentEngine engine(ExperimentOptions{2});
-  const auto res = engine.run_batch(reg.build_batch("run/"));
+  const auto res = engine.run_any(build_all(reg, "run/"));
   ASSERT_EQ(res.size(), 2u);
-  EXPECT_EQ(res[0].id, "run/0");
-  EXPECT_GT(res[0].run.energy_ratio(), 0.0);
-  EXPECT_GT(res[1].run.energy_ratio(), 0.0);
+  EXPECT_EQ(res[0].id(), "run/0");
+  EXPECT_GT(res[0].as<RunResult>().energy_ratio(), 0.0);
+  EXPECT_GT(res[1].as<RunResult>().energy_ratio(), 0.0);
 }
 
 }  // namespace

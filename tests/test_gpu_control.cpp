@@ -23,6 +23,7 @@ class GpuModelsFixture : public ::testing::Test {
   }
   gpu::GpuPlatform plat_;
   std::unique_ptr<GpuOnlineModels> models_;
+  common::Vec phi_;  ///< feature scratch of the model predictions
 };
 
 TEST_F(GpuModelsFixture, FrameTimePredictionAccurate) {
@@ -36,7 +37,7 @@ TEST_F(GpuModelsFixture, FrameTimePredictionAccurate) {
     for (const gpu::GpuConfig c : {gpu::GpuConfig{4, 1}, gpu::GpuConfig{10, 2},
                                    gpu::GpuConfig{16, 4}}) {
       const auto truth = plat_.render_ideal(f, c, kPeriod);
-      const double pred = models_->predict_frame_time_s(w, c);
+      const double pred = models_->predict_frame_time_s(w, c, phi_);
       EXPECT_NEAR(pred, truth.frame_time_s, 0.12 * truth.frame_time_s)
           << "config " << c.freq_idx << "/" << c.num_slices;
     }
@@ -53,7 +54,7 @@ TEST_F(GpuModelsFixture, EnergyPredictionAccurate) {
     w.mem_bytes = f.mem_bytes;
     const gpu::GpuConfig c{8, 2};
     const auto truth = plat_.render_ideal(f, c, kPeriod);
-    EXPECT_NEAR(models_->predict_gpu_energy_j(w, c, kPeriod), truth.gpu_energy_j,
+    EXPECT_NEAR(models_->predict_gpu_energy_j(w, c, kPeriod, phi_), truth.gpu_energy_j,
                 0.15 * truth.gpu_energy_j);
   }
 }
@@ -74,7 +75,7 @@ TEST_F(GpuModelsFixture, NmpcSolveRespectsDeadline) {
   const gpu::GpuConfig sol = nmpc.solve_slow(w, {9, 4}, &evals);
   EXPECT_TRUE(plat_.valid(sol));
   EXPECT_GT(evals, 0u);
-  EXPECT_LE(models_->predict_frame_time_s(w, sol), kPeriod);
+  EXPECT_LE(models_->predict_frame_time_s(w, sol, phi_), kPeriod);
 }
 
 TEST_F(GpuModelsFixture, NmpcPrefersFewSlicesForLightLoad) {
@@ -114,7 +115,7 @@ TEST_F(GpuModelsFixture, BudgetPredicateConstrainsSlowSolve) {
   std::size_t evals = 0;
   const gpu::GpuConfig blind = nmpc.solve_slow(w, {9, 4}, &evals);
   const double blind_power =
-      (models_->predict_gpu_energy_j(w, blind, kPeriod) +
+      (models_->predict_gpu_energy_j(w, blind, kPeriod, phi_) +
        models_->producer_energy_prior_j(w, kPeriod)) / kPeriod;
 
   // A budget below the blind pick's power forces a different, budget-feasible
@@ -126,7 +127,7 @@ TEST_F(GpuModelsFixture, BudgetPredicateConstrainsSlowSolve) {
   const gpu::GpuConfig constrained = nmpc.solve_slow(w, {9, 4}, &evals, b);
   EXPECT_TRUE(plat_.valid(constrained));
   EXPECT_TRUE(constrained != blind);
-  EXPECT_LE((models_->predict_gpu_energy_j(w, constrained, kPeriod) + b.other_energy_j) /
+  EXPECT_LE((models_->predict_gpu_energy_j(w, constrained, kPeriod, phi_) + b.other_energy_j) /
                 kPeriod,
             b.budget_w);
 }
@@ -163,11 +164,11 @@ TEST_F(GpuModelsFixture, FastTrimNeverTrimsUpThroughBudget) {
   GpuBudgetState b;
   b.constrained = true;
   b.other_energy_j = models_->producer_energy_prior_j(heavy, kPeriod);
-  b.budget_w = (models_->predict_gpu_energy_j(heavy, current, kPeriod) + b.other_energy_j) /
+  b.budget_w = (models_->predict_gpu_energy_j(heavy, current, kPeriod, phi_) + b.other_energy_j) /
                kPeriod;
   const gpu::GpuConfig capped = nmpc.fast_trim(heavy, current, &evals, b);
   EXPECT_LE(capped.freq_idx, current.freq_idx);
-  EXPECT_LE((models_->predict_gpu_energy_j(heavy, capped, kPeriod) + b.other_energy_j) /
+  EXPECT_LE((models_->predict_gpu_energy_j(heavy, capped, kPeriod, phi_) + b.other_energy_j) /
                 kPeriod,
             b.budget_w + 1e-12);
 }

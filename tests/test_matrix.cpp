@@ -107,11 +107,6 @@ TEST(Inverse, TimesOriginalIsIdentity) {
     for (std::size_t c = 0; c < 3; ++c) EXPECT_NEAR(prod(r, c), r == c ? 1.0 : 0.0, 1e-12);
 }
 
-TEST(Determinant, MatchesClosedForm) {
-  EXPECT_NEAR(determinant(Mat{{1, 2}, {3, 4}}), -2.0, 1e-12);
-  EXPECT_NEAR(determinant(Mat::identity(4)), 1.0, 1e-12);
-}
-
 TEST(Cholesky, FactorReconstructs) {
   const Mat a{{4, 2, 0}, {2, 5, 1}, {0, 1, 3}};
   const Mat l = cholesky(a);

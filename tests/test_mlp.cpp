@@ -12,6 +12,20 @@ namespace {
 using common::Rng;
 using common::Vec;
 
+Vec forward(const Mlp& net, const Vec& x) {
+  Mlp::InferScratch scratch;
+  Vec y;
+  net.forward_into(x, y, scratch);
+  return y;
+}
+
+std::vector<std::size_t> predict(const MultiHeadClassifier& net, const Vec& x) {
+  MultiHeadClassifier::InferScratch scratch;
+  std::vector<std::size_t> cls;
+  net.predict_into(x, cls, scratch);
+  return cls;
+}
+
 TEST(Softmax, NormalizesAndOrders) {
   const Vec p = softmax({1.0, 2.0, 3.0});
   EXPECT_NEAR(p[0] + p[1] + p[2], 1.0, 1e-12);
@@ -28,7 +42,7 @@ TEST(Softmax, StableForLargeLogits) {
 
 TEST(Mlp, OutputShape) {
   Mlp net(3, 2, {});
-  const Vec y = net.forward({0.1, -0.2, 0.3});
+  const Vec y = forward(net, {0.1, -0.2, 0.3});
   EXPECT_EQ(y.size(), 2u);
 }
 
@@ -43,7 +57,7 @@ TEST(Mlp, LearnsXor) {
   Rng rng(1);
   net.train(xs, ys, 800, 4, rng);
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_NEAR(net.forward(xs[i])[0], ys[i][0], 0.2) << "case " << i;
+    EXPECT_NEAR(forward(net, xs[i])[0], ys[i][0], 0.2) << "case " << i;
   }
 }
 
@@ -51,10 +65,10 @@ TEST(Mlp, MaskedTrainingIgnoresMaskedOutputs) {
   MlpConfig cfg;
   cfg.seed = 4;
   Mlp net(1, 2, cfg);
-  const Vec before = net.forward({0.5});
+  const Vec before = forward(net, {0.5});
   Vec mask{1.0, 0.0};
   for (int i = 0; i < 50; ++i) net.train_step({0.5}, {2.0, -100.0}, &mask);
-  const Vec after = net.forward({0.5});
+  const Vec after = forward(net, {0.5});
   // Output 0 moved toward target; output 1 only drifts via shared hidden
   // layers (its head weights receive no gradient), so it must not approach
   // the absurd -100 target.
@@ -66,10 +80,10 @@ TEST(Mlp, CopyParamsMakesNetworksIdentical) {
   Mlp a(3, 2, {{8}, Activation::kRelu, 1e-3, 0.0, 5});
   Mlp b(3, 2, {{8}, Activation::kRelu, 1e-3, 0.0, 99});
   const Vec x{0.3, -0.1, 0.7};
-  EXPECT_NE(a.forward(x)[0], b.forward(x)[0]);
+  EXPECT_NE(forward(a, x)[0], forward(b, x)[0]);
   b.copy_params_from(a);
-  EXPECT_DOUBLE_EQ(a.forward(x)[0], b.forward(x)[0]);
-  EXPECT_DOUBLE_EQ(a.forward(x)[1], b.forward(x)[1]);
+  EXPECT_DOUBLE_EQ(forward(a, x)[0], forward(b, x)[0]);
+  EXPECT_DOUBLE_EQ(forward(a, x)[1], forward(b, x)[1]);
 }
 
 TEST(Mlp, NumParamsMatchesArchitecture) {
@@ -81,7 +95,7 @@ TEST(Mlp, NumParamsMatchesArchitecture) {
 TEST(Mlp, InvalidDimsThrow) {
   EXPECT_THROW(Mlp(0, 1, {}), std::invalid_argument);
   Mlp net(2, 1, {});
-  EXPECT_THROW(net.forward({1.0}), std::invalid_argument);
+  EXPECT_THROW(forward(net, {1.0}), std::invalid_argument);
   EXPECT_THROW(net.train_step({1.0, 2.0}, {1.0, 2.0}), std::invalid_argument);
 }
 
@@ -98,7 +112,7 @@ TEST(Mlp, BatchForwardMatchesScalarForwardBitwise) {
   ASSERT_EQ(ys.rows(), 6u);
   ASSERT_EQ(ys.cols(), 2u);
   for (std::size_t r = 0; r < xs.rows(); ++r) {
-    const Vec y = net.forward(xs.row(r));
+    const Vec y = forward(net, xs.row(r));
     EXPECT_DOUBLE_EQ(ys(r, 0), y[0]) << "row " << r;
     EXPECT_DOUBLE_EQ(ys(r, 1), y[1]) << "row " << r;
   }
@@ -149,7 +163,7 @@ TEST(Mlp, TrainStepMatchesScalarAdamReference) {
 
   net.train_step(x, target);
   const Vec probe{-0.7, 1.3, 0.2};
-  const Vec got = net.forward(probe);
+  const Vec got = forward(net, probe);
   for (std::size_t r = 0; r < 2; ++r) {
     double want = 0.0;
     for (std::size_t c = 0; c < 3; ++c) want += w(r, c) * probe[c];
@@ -171,7 +185,7 @@ TEST(Mlp, SgdOptimizerConvergesOnXor) {
   Rng rng(1);
   net.train(xs, ys, 800, 4, rng);
   for (std::size_t i = 0; i < xs.size(); ++i)
-    EXPECT_NEAR(net.forward(xs[i])[0], ys[i][0], 0.25) << "case " << i;
+    EXPECT_NEAR(forward(net, xs[i])[0], ys[i][0], 0.25) << "case " << i;
 }
 
 TEST(Mlp, AdamConvergesOnRegressionSmoke) {
@@ -206,7 +220,7 @@ TEST(MultiHead, PredictShapes) {
   double s = 0.0;
   for (double v : probs[1]) s += v;
   EXPECT_NEAR(s, 1.0, 1e-9);
-  const auto cls = net.predict({0.1, 0.2, 0.3, 0.4});
+  const auto cls = predict(net, {0.1, 0.2, 0.3, 0.4});
   EXPECT_LT(cls[0], 3u);
   EXPECT_LT(cls[1], 5u);
 }
@@ -234,7 +248,7 @@ TEST(MultiHead, LearnsSeparableMapping) {
   for (int i = 0; i < 200; ++i) {
     const double a = test_rng.uniform(-1, 1), b = test_rng.uniform(-1, 1);
     if (std::abs(a) < 0.1 || std::abs(b) < 0.1) continue;  // skip boundary
-    const auto cls = net.predict({a, b});
+    const auto cls = predict(net, {a, b});
     const std::size_t sign = a > 0 ? 1u : 0u;
     const std::size_t quad = (a > 0 ? 1u : 0u) + (b > 0 ? 2u : 0u);
     correct += cls[0] == sign && cls[1] == quad;

@@ -211,8 +211,9 @@ TEST_F(OfflineIlFixture, PolicyLearnsTrainingDistribution) {
   EXPECT_TRUE(policy.trained());
   // In-distribution decisions should match the Oracle labels almost always.
   std::size_t hits = 0;
+  IlPolicy::Scratch scratch;
   for (std::size_t i = 0; i < data_.policy.states.size(); i += 3) {
-    hits += policy.decide(data_.policy.states[i]) == data_.policy.labels[i];
+    hits += policy.decide(data_.policy.states[i], scratch) == data_.policy.labels[i];
   }
   const double acc =
       static_cast<double>(hits) / static_cast<double>((data_.policy.states.size() + 2) / 3);
@@ -238,14 +239,16 @@ TEST_F(OfflineIlFixture, IncrementalTrainingMovesPolicy) {
   }
   policy.train_incremental(ds, 30, rng);
   std::size_t hits = 0;
-  for (std::size_t i = 0; i < 100; ++i) hits += policy.decide(ds.states[i]) == target;
+  IlPolicy::Scratch scratch;
+  for (std::size_t i = 0; i < 100; ++i) hits += policy.decide(ds.states[i], scratch) == target;
   EXPECT_GT(hits, 80u);
 }
 
 TEST(IlPolicy, UntrainedUseThrows) {
   soc::ConfigSpace space;
   IlPolicy policy(space);
-  EXPECT_THROW(policy.decide(common::Vec(12, 0.0)), std::logic_error);
+  IlPolicy::Scratch scratch;
+  EXPECT_THROW(policy.decide(common::Vec(12, 0.0), scratch), std::logic_error);
   PolicyDataset empty;
   common::Rng rng(1);
   EXPECT_THROW(policy.train_offline(empty, rng), std::invalid_argument);

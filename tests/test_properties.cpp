@@ -142,10 +142,11 @@ TEST_P(RlsRecovery, RecoversRandomLinearMap) {
   common::Vec truth(static_cast<std::size_t>(dim));
   for (double& v : truth) v = rng.uniform(-3.0, 3.0);
   ml::RecursiveLeastSquares rls(static_cast<std::size_t>(dim), {lambda, 1e3, 0.0});
+  ml::RecursiveLeastSquares::Scratch scratch;
   for (int i = 0; i < 200 * dim; ++i) {
     common::Vec x(static_cast<std::size_t>(dim));
     for (double& v : x) v = rng.uniform(-1.0, 1.0);
-    rls.update(x, common::dot(truth, x) + rng.normal(0.0, 0.001));
+    rls.update(x, common::dot(truth, x) + rng.normal(0.0, 0.001), scratch);
   }
   common::Vec probe(static_cast<std::size_t>(dim));
   for (double& v : probe) v = rng.uniform(-1.0, 1.0);

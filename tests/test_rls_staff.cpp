@@ -18,10 +18,11 @@ Vec features3(Rng& rng) { return {1.0, rng.uniform(-1, 1), rng.uniform(-1, 1)}; 
 TEST(Rls, RecoversLinearFunction) {
   Rng rng(1);
   RecursiveLeastSquares rls(3, {1.0, 1e3, 0.0});
+  RecursiveLeastSquares::Scratch scratch;
   const Vec truth{0.5, -2.0, 3.0};
   for (int i = 0; i < 300; ++i) {
     const Vec x = features3(rng);
-    rls.update(x, common::dot(truth, x));
+    rls.update(x, common::dot(truth, x), scratch);
   }
   for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(rls.weights()[i], truth[i], 1e-4);
 }
@@ -29,11 +30,13 @@ TEST(Rls, RecoversLinearFunction) {
 TEST(Rls, PredictionErrorShrinks) {
   Rng rng(2);
   RecursiveLeastSquares rls(3, {0.99, 1e3, 0.0});
+  RecursiveLeastSquares::Scratch scratch;
   const Vec truth{1.0, 2.0, -1.0};
   double early = 0.0, late = 0.0;
   for (int i = 0; i < 400; ++i) {
     const Vec x = features3(rng);
-    const double e = std::abs(rls.update(x, common::dot(truth, x) + rng.normal(0.0, 0.01)));
+    const double e =
+        std::abs(rls.update(x, common::dot(truth, x) + rng.normal(0.0, 0.01), scratch));
     if (i < 20) early += e;
     if (i >= 380) late += e;
   }
@@ -46,12 +49,13 @@ TEST(Rls, ForgettingTracksDrift) {
   auto run = [](double lambda) {
     Rng rng(3);
     RecursiveLeastSquares rls(2, {lambda, 1e3, 0.0});
+    RecursiveLeastSquares::Scratch scratch;
     Vec truth{1.0, 1.0};
     double tail_err = 0.0;
     for (int i = 0; i < 600; ++i) {
       if (i == 300) truth = {-2.0, 0.5};
       const Vec x{1.0, rng.uniform(-1, 1)};
-      const double e = std::abs(rls.update(x, common::dot(truth, x)));
+      const double e = std::abs(rls.update(x, common::dot(truth, x), scratch));
       if (i >= 580) tail_err += e;
     }
     return tail_err;
@@ -67,12 +71,14 @@ TEST(Rls, InvalidConfigThrows) {
 
 TEST(Rls, DimMismatchThrows) {
   RecursiveLeastSquares rls(3);
-  EXPECT_THROW(rls.update({1.0, 2.0}, 0.0), std::invalid_argument);
+  RecursiveLeastSquares::Scratch scratch;
+  EXPECT_THROW(rls.update({1.0, 2.0}, 0.0, scratch), std::invalid_argument);
   EXPECT_THROW(rls.set_weights({1.0}), std::invalid_argument);
 }
 
 TEST(Rls, SetWeightsBootstrap) {
   RecursiveLeastSquares rls(2);
+  RecursiveLeastSquares::Scratch scratch;
   rls.set_weights({3.0, -1.0});
   EXPECT_DOUBLE_EQ(rls.predict({1.0, 1.0}), 2.0);
 }
@@ -80,9 +86,10 @@ TEST(Rls, SetWeightsBootstrap) {
 TEST(Rls, CovarianceResetKeepsWeights) {
   Rng rng(5);
   RecursiveLeastSquares rls(2, {0.98, 100.0, 0.0});
+  RecursiveLeastSquares::Scratch scratch;
   for (int i = 0; i < 50; ++i) {
     const Vec x{1.0, rng.uniform(-1, 1)};
-    rls.update(x, 2.0 * x[1]);
+    rls.update(x, 2.0 * x[1], scratch);
   }
   const Vec w = rls.weights();
   rls.reset_covariance();
