@@ -21,8 +21,8 @@ ml::MlpConfig make_net_config(const IlPolicyConfig& cfg) {
 
 IlPolicy::IlPolicy(const soc::ConfigSpace& space, IlPolicyConfig cfg)
     : cfg_(cfg),
-      net_(FeatureExtractor(space, cfg.thermal_aware).policy_dim(), space.knob_cardinalities(),
-           make_net_config(cfg)) {}
+      net_(ml::Mlp::classifier(FeatureExtractor(space, cfg.thermal_aware).policy_dim(),
+                               space.knob_cardinalities(), make_net_config(cfg))) {}
 
 double IlPolicy::train(const PolicyDataset& data, std::size_t epochs, common::Rng& rng) {
   std::vector<common::Vec> xs;
@@ -83,7 +83,7 @@ bool IlPolicy::import_artifact(const std::vector<double>& in) {
   if (in.size() < 2) return false;
   // Stage into copies so a truncated/mismatched artifact leaves *this intact.
   ml::StandardScaler scaler = scaler_;
-  ml::MultiHeadClassifier net = net_;
+  ml::Mlp net = net_;
   std::size_t pos = 2;
   if (!scaler.import_state(in, pos)) return false;
   if (!net.import_params(in, pos)) return false;

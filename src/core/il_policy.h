@@ -1,7 +1,8 @@
 // Imitation-learning policy (paper Section IV-A).
 //
-// A multi-head neural network (one softmax head per control knob) that
-// approximates the Oracle: state -> (num little, num big, f_little, f_big).
+// A multi-head neural network (ml::Mlp::classifier: a shared tanh trunk with
+// one softmax head per control knob) that approximates the Oracle:
+// state -> (num little, num big, f_little, f_big).
 // The whole network fits in a few kilobytes — the paper stresses that the
 // runtime policy, unlike the Oracle, must be small enough for an OS governor
 // or firmware (<20 KB including the online training buffer).
@@ -63,9 +64,9 @@ class IlPolicy {
   /// thread-safe.
   struct Scratch {
     ml::StandardScaler::TransformCache scaler;
-    common::Vec z;                              ///< scaled state
-    ml::MultiHeadClassifier::InferScratch net;  ///< trunk/logit buffers
-    std::vector<std::size_t> cls;               ///< per-head argmax
+    common::Vec z;                 ///< scaled state
+    ml::Mlp::InferScratch net;     ///< trunk/logit buffers
+    std::vector<std::size_t> cls;  ///< per-head argmax
   };
   /// Greedy policy decision from a raw (unscaled) state vector: the state is
   /// standardized with the training scaler and each knob is the argmax of
@@ -97,7 +98,7 @@ class IlPolicy {
 
   IlPolicyConfig cfg_;
   ml::StandardScaler scaler_;
-  ml::MultiHeadClassifier net_;
+  ml::Mlp net_;  ///< Mlp::classifier: one softmax head per knob
   bool trained_ = false;
   double train_time_s_ = 0.0;
   double last_train_loss_ = 0.0;

@@ -63,14 +63,6 @@ class Dqn {
     return replay_[(replay_head_ + i) % replay_.size()];
   }
 
-  /// Appends the online + target network weights, epsilon, the exploration
-  /// rng's position, and the step counter.  The replay buffer is *not*
-  /// captured (it is bulky, transient warm-up state); a restored agent
-  /// greedy-acts identically and resumes training from an empty buffer.
-  void export_params(std::vector<double>& out) const;
-  /// Restores what export_params wrote; false on underrun or shape mismatch.
-  bool import_params(const std::vector<double>& in, std::size_t& pos);
-
  private:
   void train_batch();
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "common/thread_pool.h"
 
@@ -157,8 +158,13 @@ bool DenseLayer::read_params(const std::vector<double>& in, std::size_t& pos) {
 // ---- Mlp -------------------------------------------------------------------
 
 Mlp::Mlp(std::size_t input_dim, std::size_t output_dim, MlpConfig cfg)
-    : input_dim_(input_dim), output_dim_(output_dim), cfg_(std::move(cfg)) {
-  if (input_dim == 0 || output_dim == 0) throw std::invalid_argument("Mlp: zero dimension");
+    : Mlp(input_dim, std::vector<std::size_t>{output_dim}, std::move(cfg)) {}
+
+Mlp::Mlp(std::size_t input_dim, std::vector<std::size_t> head_sizes, MlpConfig cfg)
+    : input_dim_(input_dim), cfg_(std::move(cfg)), head_sizes_(std::move(head_sizes)) {
+  if (head_sizes_.empty()) throw std::invalid_argument("Mlp: no heads");
+  if (input_dim == 0 || std::count(head_sizes_.begin(), head_sizes_.end(), 0u) != 0)
+    throw std::invalid_argument("Mlp: zero dimension");
   common::Rng rng(cfg_.seed);
   std::size_t prev = input_dim;
   for (std::size_t h : cfg_.hidden) {
@@ -166,39 +172,86 @@ Mlp::Mlp(std::size_t input_dim, std::size_t output_dim, MlpConfig cfg)
                          make_optimizer(cfg_.optimizer, cfg_.learning_rate, cfg_.l2));
     prev = h;
   }
-  layers_.emplace_back(prev, output_dim, rng,
-                       make_optimizer(cfg_.optimizer, cfg_.learning_rate, cfg_.l2));
+  for (std::size_t out : head_sizes_)
+    layers_.emplace_back(prev, out, rng,
+                         make_optimizer(cfg_.optimizer, cfg_.learning_rate, cfg_.l2));
+}
+
+Mlp Mlp::classifier(std::size_t input_dim, std::vector<std::size_t> head_sizes, MlpConfig cfg) {
+  for (std::size_t hs : head_sizes)
+    if (hs < 2) throw std::invalid_argument("Mlp::classifier: head needs >= 2 classes");
+  return Mlp(input_dim, std::move(head_sizes), std::move(cfg));
+}
+
+void Mlp::require_single_head(const char* what) const {
+  if (head_sizes_.size() != 1)
+    throw std::logic_error(std::string(what) + ": multi-head network has no single output");
 }
 
 // oal-lint: hot-path
-void Mlp::forward_into(const common::Vec& x, common::Vec& out, InferScratch& s) const {
-  if (x.size() != input_dim_) throw std::invalid_argument("Mlp::forward_into: dim mismatch");
+const common::Vec& Mlp::trunk_into(const common::Vec& x, InferScratch& s) const {
+  if (x.size() != input_dim_) throw std::invalid_argument("Mlp: input dim mismatch");
   const common::Vec* cur = &x;
   bool use_a = true;
-  for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
+  for (std::size_t l = 0; l < trunk_size(); ++l) {
     common::Vec& dst = use_a ? s.a : s.b;
     layers_[l].forward_into(*cur, dst);
     activate_vec_inplace(cfg_.activation, dst);
     cur = &dst;
     use_a = !use_a;
   }
-  layers_.back().forward_into(*cur, out);
+  return *cur;
+}
+
+void Mlp::forward_into(const common::Vec& x, common::Vec& out, InferScratch& s) const {
+  require_single_head("Mlp::forward_into");
+  layers_.back().forward_into(trunk_into(x, s), out);
+}
+
+void Mlp::predict_into(const common::Vec& x, std::vector<std::size_t>& cls,
+                       InferScratch& s) const {
+  const common::Vec& feat = trunk_into(x, s);
+  const std::size_t nheads = head_sizes_.size();
+  cls.resize(nheads);  // oal-lint: allow(hot-path-alloc)  reaches capacity once, then no-op
+  for (std::size_t h = 0; h < nheads; ++h) {
+    layers_[trunk_size() + h].forward_into(feat, s.logits);
+    cls[h] = static_cast<std::size_t>(
+        std::distance(s.logits.begin(), std::max_element(s.logits.begin(), s.logits.end())));
+  }
 }
 // oal-lint: hot-path-end
 
-common::Mat Mlp::forward_batch(const common::Mat& x) const {
-  if (x.cols() != input_dim_) throw std::invalid_argument("Mlp::forward_batch: dim mismatch");
-  common::Mat a = x;
-  for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
-    a = layers_[l].forward_batch(a);
-    activate_inplace(cfg_.activation, a);
+std::vector<common::Vec> Mlp::predict_proba(const common::Vec& x) const {
+  InferScratch s;
+  const common::Vec& feat = trunk_into(x, s);
+  std::vector<common::Vec> probs;
+  probs.reserve(head_sizes_.size());
+  for (std::size_t h = 0; h < head_sizes_.size(); ++h) {
+    layers_[trunk_size() + h].forward_into(feat, s.logits);
+    probs.push_back(softmax(s.logits));
   }
-  return layers_.back().forward_batch(a);
+  return probs;
 }
 
-Mlp::ShardGrads Mlp::backward_shard(const common::Mat& x, const common::Mat& targets,
-                                    const common::Mat* mask, std::size_t row0,
-                                    std::size_t row1) const {
+void Mlp::trunk_batch(const common::Mat& x, std::vector<common::Mat>& acts) const {
+  acts.reserve(trunk_size());
+  for (std::size_t l = 0; l < trunk_size(); ++l) {
+    common::Mat z = layers_[l].forward_batch(l == 0 ? x : acts.back());
+    activate_inplace(cfg_.activation, z);
+    acts.push_back(std::move(z));
+  }
+}
+
+common::Mat Mlp::forward_batch(const common::Mat& x) const {
+  require_single_head("Mlp::forward_batch");
+  if (x.cols() != input_dim_) throw std::invalid_argument("Mlp::forward_batch: dim mismatch");
+  std::vector<common::Mat> acts;
+  trunk_batch(x, acts);
+  return layers_.back().forward_batch(acts.empty() ? x : acts.back());
+}
+
+Mlp::ShardGrads Mlp::backward_shard(const common::Mat& x, const Objective& obj,
+                                    std::size_t row0, std::size_t row1) const {
   const std::size_t n = row1 - row0;
   common::Mat sliced;
   const common::Mat* input = &x;
@@ -207,60 +260,72 @@ Mlp::ShardGrads Mlp::backward_shard(const common::Mat& x, const common::Mat& tar
     input = &sliced;
   }
 
-  // Forward; acts[l] = activated output of hidden layer l (inputs to layer
-  // l+1).  Pre-activations are not cached — see scale_by_activation_grad.
-  const std::size_t nlayers = layers_.size();
+  // Trunk forward; acts[l] = activated output of trunk layer l.
+  // Pre-activations are not cached — see scale_by_activation_grad.
   std::vector<common::Mat> acts;
-  acts.reserve(nlayers - 1);
-  for (std::size_t l = 0; l + 1 < nlayers; ++l) {
-    common::Mat z = layers_[l].forward_batch(l == 0 ? *input : acts.back());
-    activate_inplace(cfg_.activation, z);
-    acts.push_back(std::move(z));
-  }
-  const common::Mat y = layers_.back().forward_batch(nlayers == 1 ? *input : acts.back());
+  trunk_batch(*input, acts);
+  const common::Mat& feat = acts.empty() ? *input : acts.back();
 
-  common::Mat dy(n, output_dim_);
-  double loss = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < output_dim_; ++j) {
-      const double m = mask != nullptr ? (*mask)(row0 + i, j) : 1.0;
-      const double e = (y(i, j) - targets(row0 + i, j)) * m;
-      dy(i, j) = e;
-      loss += 0.5 * e * e;
-    }
-  }
-
+  const std::size_t ntrunk = trunk_size();
   ShardGrads sg;
-  sg.gw.resize(nlayers);
-  sg.gb.resize(nlayers);
-  sg.loss = loss;
-  common::Mat cur = std::move(dy);
-  for (std::size_t l = nlayers; l-- > 0;) {
-    const common::Mat& in = l == 0 ? *input : acts[l - 1];
-    layers_[l].grads(in, cur, sg.gw[l], sg.gb[l]);
-    if (l > 0) {
-      cur = layers_[l].backprop_input(cur);
-      scale_by_activation_grad(cfg_.activation, acts[l - 1], cur);
+  sg.gw.resize(layers_.size());
+  sg.gb.resize(layers_.size());
+  common::Mat dfeat;
+  for (std::size_t h = 0; h < head_sizes_.size(); ++h) {
+    // Head outputs become dL/dz in place.  The loss is one running sum per
+    // shard across heads (heads outer, rows inner): the summation order the
+    // pinned loss bits in tests/test_train_determinism.cpp depend on.
+    const DenseLayer& head = layers_[ntrunk + h];
+    common::Mat dz = head.forward_batch(feat);
+    if (obj.labels != nullptr) {
+      // Softmax each row (same arithmetic as ml::softmax), then subtract the
+      // one-hot label.
+      for (std::size_t i = 0; i < n; ++i) {
+        double mx = dz(i, 0);
+        for (std::size_t j = 0; j < dz.cols(); ++j) mx = std::max(mx, dz(i, j));
+        double sum = 0.0;
+        for (std::size_t j = 0; j < dz.cols(); ++j) {
+          dz(i, j) = std::exp(dz(i, j) - mx);
+          sum += dz(i, j);
+        }
+        for (std::size_t j = 0; j < dz.cols(); ++j) dz(i, j) /= sum;
+        const std::size_t label = (*obj.labels)[row0 + i][h];
+        sg.loss += -std::log(std::max(dz(i, label), 1e-12));
+        dz(i, label) -= 1.0;
+      }
+    } else {
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < dz.cols(); ++j) {
+          const double m = obj.mask != nullptr ? (*obj.mask)(row0 + i, j) : 1.0;
+          const double e = (dz(i, j) - (*obj.targets)(row0 + i, j)) * m;
+          dz(i, j) = e;
+          sg.loss += 0.5 * e * e;
+        }
     }
+    head.grads(feat, dz, sg.gw[ntrunk + h], sg.gb[ntrunk + h]);
+    if (ntrunk == 0) continue;
+    if (h == 0) {
+      dfeat = head.backprop_input(dz);
+    } else {
+      dfeat += head.backprop_input(dz);
+    }
+  }
+
+  for (std::size_t l = ntrunk; l-- > 0;) {
+    scale_by_activation_grad(cfg_.activation, acts[l], dfeat);
+    layers_[l].grads(l == 0 ? *input : acts[l - 1], dfeat, sg.gw[l], sg.gb[l]);
+    if (l > 0) dfeat = layers_[l].backprop_input(dfeat);
   }
   return sg;
 }
 
-double Mlp::train_batch(const common::Mat& x, const common::Mat& targets,
-                        const common::Mat* mask) {
-  if (x.rows() == 0 || x.rows() != targets.rows())
-    throw std::invalid_argument("Mlp::train_batch: bad batch");
-  if (x.cols() != input_dim_) throw std::invalid_argument("Mlp::train_batch: input dim");
-  if (targets.cols() != output_dim_) throw std::invalid_argument("Mlp::train_batch: target dim");
-  if (mask != nullptr && (mask->rows() != x.rows() || mask->cols() != output_dim_))
-    throw std::invalid_argument("Mlp::train_batch: mask shape");
-
+double Mlp::step(const common::Mat& x, const Objective& obj) {
   const std::size_t bsz = x.rows();
   const std::size_t nshards = (bsz + kGradShardRows - 1) / kGradShardRows;
   std::vector<ShardGrads> shards(nshards);
   const auto run = [&](std::size_t s) {
     const std::size_t r0 = s * kGradShardRows;
-    shards[s] = backward_shard(x, targets, mask, r0, std::min(bsz, r0 + kGradShardRows));
+    shards[s] = backward_shard(x, obj, r0, std::min(bsz, r0 + kGradShardRows));
   };
   if (cfg_.pool != nullptr && nshards > 1) {
     cfg_.pool->run_indexed(nshards, run);
@@ -287,54 +352,62 @@ double Mlp::train_batch(const common::Mat& x, const common::Mat& targets,
   return total.loss * inv_b;
 }
 
-double Mlp::train_step(const common::Vec& x, const common::Vec& target, const common::Vec* mask) {
-  if (x.size() != input_dim_) throw std::invalid_argument("Mlp::train_step: input dim");
-  if (target.size() != output_dim_) throw std::invalid_argument("Mlp::train_step: target dim");
-  common::Mat xb(1, input_dim_), tb(1, output_dim_);
-  for (std::size_t i = 0; i < input_dim_; ++i) xb(0, i) = x[i];
-  for (std::size_t i = 0; i < output_dim_; ++i) tb(0, i) = target[i];
-  if (mask == nullptr) return train_batch(xb, tb);
-  if (mask->size() != output_dim_) throw std::invalid_argument("Mlp::train_step: mask dim");
-  common::Mat mb(1, output_dim_);
-  for (std::size_t i = 0; i < output_dim_; ++i) mb(0, i) = (*mask)[i];
-  return train_batch(xb, tb, &mb);
+double Mlp::train_batch(const common::Mat& x, const common::Mat& targets,
+                        const common::Mat* mask) {
+  require_single_head("Mlp::train_batch");
+  if (x.rows() == 0 || x.rows() != targets.rows())
+    throw std::invalid_argument("Mlp::train_batch: bad batch");
+  if (x.cols() != input_dim_) throw std::invalid_argument("Mlp::train_batch: input dim");
+  if (targets.cols() != head_sizes_[0])
+    throw std::invalid_argument("Mlp::train_batch: target dim");
+  if (mask != nullptr && (mask->rows() != x.rows() || mask->cols() != head_sizes_[0]))
+    throw std::invalid_argument("Mlp::train_batch: mask shape");
+  return step(x, Objective{&targets, mask, nullptr});
 }
 
-double Mlp::train_epoch(const common::Mat& xs, const common::Mat& targets,
-                        std::size_t batch_size, common::Rng& rng) {
-  if (xs.rows() == 0 || xs.rows() != targets.rows())
-    throw std::invalid_argument("Mlp::train_epoch: bad data");
-  const std::size_t n = xs.rows();
+double Mlp::train_batch(const common::Mat& x,
+                        const std::vector<std::vector<std::size_t>>& labels) {
+  if (x.rows() == 0 || x.rows() != labels.size())
+    throw std::invalid_argument("Mlp::train_batch: bad batch");
+  if (x.cols() != input_dim_) throw std::invalid_argument("Mlp::train_batch: input dim");
+  for (const auto& row : labels) {
+    if (row.size() != head_sizes_.size())
+      throw std::invalid_argument("Mlp::train_batch: label count mismatch");
+    for (std::size_t h = 0; h < head_sizes_.size(); ++h)
+      if (row[h] >= head_sizes_[h])
+        throw std::invalid_argument("Mlp::train_batch: label out of range");
+  }
+  return step(x, Objective{nullptr, nullptr, &labels});
+}
+
+double Mlp::train(const std::vector<common::Vec>& xs,
+                  const std::vector<std::vector<std::size_t>>& labels, std::size_t epochs,
+                  std::size_t batch_size, common::Rng& rng) {
+  if (xs.size() != labels.size() || xs.empty()) throw std::invalid_argument("Mlp::train: bad data");
+  const std::size_t n = xs.size();
   if (batch_size == 0) batch_size = n;
   std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  shuffle_order(order, rng);
-  double loss_sum = 0.0;
-  common::Mat xb, tb;  // gather buffers, reallocated only on batch-size change
-  for (std::size_t start = 0; start < n; start += batch_size) {
-    const std::size_t end = std::min(n, start + batch_size);
-    const std::size_t bs = end - start;
-    if (xb.rows() != bs) {
-      xb = common::Mat(bs, xs.cols());
-      tb = common::Mat(bs, targets.cols());
+  common::Mat xb;  // gather buffers, reallocated only on batch-size change
+  std::vector<std::vector<std::size_t>> lb;
+  double last = 0.0;
+  for (std::size_t e = 0; e < epochs; ++e) {
+    std::iota(order.begin(), order.end(), 0);
+    shuffle_order(order, rng);
+    double loss_sum = 0.0;
+    for (std::size_t start = 0; start < n; start += batch_size) {
+      const std::size_t end = std::min(n, start + batch_size);
+      const std::size_t bs = end - start;
+      if (xb.rows() != bs) xb = common::Mat(bs, input_dim_);
+      lb.resize(bs);
+      for (std::size_t i = start; i < end; ++i) {
+        xb.set_row(i - start, xs[order[i]]);
+        lb[i - start] = labels[order[i]];
+      }
+      loss_sum += train_batch(xb, lb) * static_cast<double>(bs);
     }
-    for (std::size_t i = start; i < end; ++i) {
-      for (std::size_t c = 0; c < xs.cols(); ++c) xb(i - start, c) = xs(order[i], c);
-      for (std::size_t c = 0; c < targets.cols(); ++c) tb(i - start, c) = targets(order[i], c);
-    }
-    loss_sum += train_batch(xb, tb) * static_cast<double>(bs);
+    last = loss_sum / static_cast<double>(n);
   }
-  return loss_sum / static_cast<double>(n);
-}
-
-double Mlp::train(const std::vector<common::Vec>& xs, const std::vector<common::Vec>& targets,
-                  std::size_t epochs, std::size_t batch_size, common::Rng& rng) {
-  if (xs.size() != targets.size() || xs.empty()) throw std::invalid_argument("Mlp::train: bad data");
-  const common::Mat x = common::Mat::from_rows(xs);
-  const common::Mat t = common::Mat::from_rows(targets);
-  double last_epoch_loss = 0.0;
-  for (std::size_t e = 0; e < epochs; ++e) last_epoch_loss = train_epoch(x, t, batch_size, rng);
-  return last_epoch_loss;
+  return last;
 }
 
 std::size_t Mlp::num_params() const {
@@ -344,7 +417,11 @@ std::size_t Mlp::num_params() const {
 }
 
 void Mlp::copy_params_from(const Mlp& other) {
-  if (other.layers_.size() != layers_.size()) throw std::invalid_argument("Mlp::copy_params_from: shape");
+  bool same = other.head_sizes_ == head_sizes_ && other.layers_.size() == layers_.size();
+  for (std::size_t l = 0; same && l < layers_.size(); ++l)
+    same = other.layers_[l].in_dim() == layers_[l].in_dim() &&
+           other.layers_[l].out_dim() == layers_[l].out_dim();
+  if (!same) throw std::invalid_argument("Mlp::copy_params_from: shape mismatch");
   layers_ = other.layers_;
 }
 
@@ -355,237 +432,6 @@ void Mlp::export_params(std::vector<double>& out) const {
 bool Mlp::import_params(const std::vector<double>& in, std::size_t& pos) {
   for (auto& l : layers_)
     if (!l.read_params(in, pos)) return false;
-  return true;
-}
-
-// ---- MultiHeadClassifier ----------------------------------------------------
-
-MultiHeadClassifier::MultiHeadClassifier(std::size_t input_dim, std::vector<std::size_t> head_sizes,
-                                         MlpConfig cfg)
-    : input_dim_(input_dim), cfg_(std::move(cfg)), head_sizes_(std::move(head_sizes)) {
-  if (head_sizes_.empty()) throw std::invalid_argument("MultiHeadClassifier: no heads");
-  common::Rng rng(cfg_.seed);
-  std::size_t prev = input_dim;
-  for (std::size_t h : cfg_.hidden) {
-    trunk_.emplace_back(prev, h, rng,
-                        make_optimizer(cfg_.optimizer, cfg_.learning_rate, cfg_.l2));
-    prev = h;
-  }
-  for (std::size_t hs : head_sizes_) {
-    if (hs < 2) throw std::invalid_argument("MultiHeadClassifier: head needs >= 2 classes");
-    heads_.emplace_back(prev, hs, rng,
-                        make_optimizer(cfg_.optimizer, cfg_.learning_rate, cfg_.l2));
-  }
-}
-
-std::vector<common::Vec> MultiHeadClassifier::predict_proba(const common::Vec& x) const {
-  if (x.size() != input_dim_) throw std::invalid_argument("MultiHeadClassifier: dim mismatch");
-  common::Vec a = x, z;
-  for (const auto& layer : trunk_) {
-    layer.forward_into(a, z);
-    activate_vec_inplace(cfg_.activation, z);
-    std::swap(a, z);
-  }
-  std::vector<common::Vec> probs;
-  probs.reserve(heads_.size());
-  for (const auto& head : heads_) {
-    head.forward_into(a, z);
-    probs.push_back(softmax(z));
-  }
-  return probs;
-}
-
-// oal-lint: hot-path
-void MultiHeadClassifier::predict_into(const common::Vec& x, std::vector<std::size_t>& cls,
-                                       InferScratch& s) const {
-  if (x.size() != input_dim_) throw std::invalid_argument("MultiHeadClassifier: dim mismatch");
-  const common::Vec* cur = &x;
-  bool use_a = true;
-  for (const auto& layer : trunk_) {
-    common::Vec& dst = use_a ? s.a : s.b;
-    layer.forward_into(*cur, dst);
-    activate_vec_inplace(cfg_.activation, dst);
-    cur = &dst;
-    use_a = !use_a;
-  }
-  cls.resize(heads_.size());  // oal-lint: allow(hot-path-alloc)  reaches capacity once, then no-op
-  for (std::size_t h = 0; h < heads_.size(); ++h) {
-    heads_[h].forward_into(*cur, s.logits);
-    cls[h] = static_cast<std::size_t>(
-        std::distance(s.logits.begin(), std::max_element(s.logits.begin(), s.logits.end())));
-  }
-}
-// oal-lint: hot-path-end
-
-MultiHeadClassifier::ShardGrads MultiHeadClassifier::backward_shard(
-    const common::Mat& x, const std::vector<std::vector<std::size_t>>& labels, std::size_t row0,
-    std::size_t row1) const {
-  const std::size_t n = row1 - row0;
-  common::Mat sliced;
-  const common::Mat* input = &x;
-  if (row0 != 0 || row1 != x.rows()) {
-    sliced = slice_rows(x, row0, row1);
-    input = &sliced;
-  }
-
-  // Trunk forward; acts[l] = activated output of trunk layer l.
-  std::vector<common::Mat> acts;
-  acts.reserve(trunk_.size());
-  for (std::size_t l = 0; l < trunk_.size(); ++l) {
-    common::Mat z = trunk_[l].forward_batch(l == 0 ? *input : acts.back());
-    activate_inplace(cfg_.activation, z);
-    acts.push_back(std::move(z));
-  }
-  const common::Mat& feat = trunk_.empty() ? *input : acts.back();
-
-  ShardGrads sg;
-  sg.gw.resize(trunk_.size() + heads_.size());
-  sg.gb.resize(trunk_.size() + heads_.size());
-
-  common::Mat dtrunk(n, feat.cols());
-  for (std::size_t h = 0; h < heads_.size(); ++h) {
-    // Head logits become dL/dz in place: softmax each row (same arithmetic
-    // as ml::softmax), then subtract the one-hot label.
-    common::Mat dz = heads_[h].forward_batch(feat);
-    const std::size_t classes = head_sizes_[h];
-    for (std::size_t i = 0; i < n; ++i) {
-      double mx = dz(i, 0);
-      for (std::size_t j = 0; j < classes; ++j) mx = std::max(mx, dz(i, j));
-      double sum = 0.0;
-      for (std::size_t j = 0; j < classes; ++j) {
-        dz(i, j) = std::exp(dz(i, j) - mx);
-        sum += dz(i, j);
-      }
-      for (std::size_t j = 0; j < classes; ++j) dz(i, j) /= sum;
-      const std::size_t label = labels[row0 + i][h];
-      sg.loss += -std::log(std::max(dz(i, label), 1e-12));
-      dz(i, label) -= 1.0;
-    }
-    heads_[h].grads(feat, dz, sg.gw[trunk_.size() + h], sg.gb[trunk_.size() + h]);
-    dtrunk += heads_[h].backprop_input(dz);
-  }
-
-  common::Mat cur = std::move(dtrunk);
-  for (std::size_t l = trunk_.size(); l-- > 0;) {
-    scale_by_activation_grad(cfg_.activation, acts[l], cur);
-    const common::Mat& in = l == 0 ? *input : acts[l - 1];
-    trunk_[l].grads(in, cur, sg.gw[l], sg.gb[l]);
-    if (l > 0) cur = trunk_[l].backprop_input(cur);
-  }
-  return sg;
-}
-
-double MultiHeadClassifier::train_batch(const common::Mat& x,
-                                        const std::vector<std::vector<std::size_t>>& labels) {
-  if (x.rows() == 0 || x.rows() != labels.size())
-    throw std::invalid_argument("MultiHeadClassifier::train_batch: bad batch");
-  if (x.cols() != input_dim_)
-    throw std::invalid_argument("MultiHeadClassifier::train_batch: input dim");
-  for (const auto& row : labels) {
-    if (row.size() != heads_.size())
-      throw std::invalid_argument("MultiHeadClassifier::train_batch: label count mismatch");
-    for (std::size_t h = 0; h < heads_.size(); ++h)
-      if (row[h] >= head_sizes_[h])
-        throw std::invalid_argument("MultiHeadClassifier::train_batch: label out of range");
-  }
-
-  const std::size_t bsz = x.rows();
-  const std::size_t nshards = (bsz + kGradShardRows - 1) / kGradShardRows;
-  std::vector<ShardGrads> shards(nshards);
-  const auto run = [&](std::size_t s) {
-    const std::size_t r0 = s * kGradShardRows;
-    shards[s] = backward_shard(x, labels, r0, std::min(bsz, r0 + kGradShardRows));
-  };
-  if (cfg_.pool != nullptr && nshards > 1) {
-    cfg_.pool->run_indexed(nshards, run);
-  } else {
-    for (std::size_t s = 0; s < nshards; ++s) run(s);
-  }
-
-  ShardGrads total = std::move(shards.front());
-  const std::size_t nlayers = trunk_.size() + heads_.size();
-  for (std::size_t s = 1; s < nshards; ++s) {
-    for (std::size_t l = 0; l < nlayers; ++l) {
-      total.gw[l] += shards[s].gw[l];
-      for (std::size_t i = 0; i < total.gb[l].size(); ++i) total.gb[l][i] += shards[s].gb[l][i];
-    }
-    total.loss += shards[s].loss;
-  }
-
-  const double inv_b = 1.0 / static_cast<double>(bsz);
-  for (std::size_t l = 0; l < nlayers; ++l) {
-    total.gw[l] *= inv_b;
-    for (double& v : total.gb[l]) v *= inv_b;
-  }
-  for (std::size_t l = 0; l < trunk_.size(); ++l) trunk_[l].apply(total.gw[l], total.gb[l]);
-  for (std::size_t h = 0; h < heads_.size(); ++h)
-    heads_[h].apply(total.gw[trunk_.size() + h], total.gb[trunk_.size() + h]);
-  return total.loss * inv_b;
-}
-
-double MultiHeadClassifier::train_step(const common::Vec& x,
-                                       const std::vector<std::size_t>& labels) {
-  if (x.size() != input_dim_)
-    throw std::invalid_argument("MultiHeadClassifier::train_step: dim mismatch");
-  common::Mat xb(1, input_dim_);
-  for (std::size_t i = 0; i < input_dim_; ++i) xb(0, i) = x[i];
-  return train_batch(xb, {labels});
-}
-
-double MultiHeadClassifier::train_epoch(const std::vector<common::Vec>& xs,
-                                        const std::vector<std::vector<std::size_t>>& labels,
-                                        std::size_t batch_size, common::Rng& rng) {
-  if (xs.size() != labels.size() || xs.empty())
-    throw std::invalid_argument("MultiHeadClassifier::train_epoch: bad data");
-  const std::size_t n = xs.size();
-  if (batch_size == 0) batch_size = n;
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  shuffle_order(order, rng);
-  double loss_sum = 0.0;
-  common::Mat xb;  // gather buffers, reallocated only on batch-size change
-  std::vector<std::vector<std::size_t>> lb;
-  for (std::size_t start = 0; start < n; start += batch_size) {
-    const std::size_t end = std::min(n, start + batch_size);
-    const std::size_t bs = end - start;
-    if (xb.rows() != bs) xb = common::Mat(bs, input_dim_);
-    lb.resize(bs);
-    for (std::size_t i = start; i < end; ++i) {
-      xb.set_row(i - start, xs[order[i]]);
-      lb[i - start] = labels[order[i]];
-    }
-    loss_sum += train_batch(xb, lb) * static_cast<double>(bs);
-  }
-  return loss_sum / static_cast<double>(n);
-}
-
-double MultiHeadClassifier::train(const std::vector<common::Vec>& xs,
-                                  const std::vector<std::vector<std::size_t>>& labels,
-                                  std::size_t epochs, std::size_t batch_size, common::Rng& rng) {
-  if (xs.size() != labels.size() || xs.empty())
-    throw std::invalid_argument("MultiHeadClassifier::train: bad data");
-  double last = 0.0;
-  for (std::size_t e = 0; e < epochs; ++e) last = train_epoch(xs, labels, batch_size, rng);
-  return last;
-}
-
-std::size_t MultiHeadClassifier::num_params() const {
-  std::size_t n = 0;
-  for (const auto& l : trunk_) n += l.num_params();
-  for (const auto& h : heads_) n += h.num_params();
-  return n;
-}
-
-void MultiHeadClassifier::export_params(std::vector<double>& out) const {
-  for (const auto& l : trunk_) l.append_params(out);
-  for (const auto& h : heads_) h.append_params(out);
-}
-
-bool MultiHeadClassifier::import_params(const std::vector<double>& in, std::size_t& pos) {
-  for (auto& l : trunk_)
-    if (!l.read_params(in, pos)) return false;
-  for (auto& h : heads_)
-    if (!h.read_params(in, pos)) return false;
   return true;
 }
 

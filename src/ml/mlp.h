@@ -9,16 +9,14 @@
 // step.  The fixed shard geometry makes training bitwise reproducible at any
 // thread count: an optional common::ThreadPool only decides *who* computes a
 // shard, never how the reduction is ordered (the engine's parallel == serial
-// contract, extended to training).  The scalar train_step routes through the
-// batch path as a 1-row batch, so there is exactly one backprop
-// implementation.
+// contract, extended to training).
 //
-// Two variants are provided:
-//  * Mlp — generic regression network with linear outputs (used by the DQN
-//    baseline and by function-approximation experiments).
-//  * MultiHeadClassifier — a shared trunk with one softmax head per control
-//    knob; this is the IL policy representation (one head each for the
-//    number of little/big cores and the little/big frequency levels).
+// One network class, ml::Mlp, covers both uses: a shared trunk of hidden
+// layers feeding one or more linear heads.  The DQN baseline uses a single
+// regression head trained on masked MSE; the IL policy (Mlp::classifier)
+// uses one softmax head per control knob (number of little/big cores and
+// the little/big frequency levels) trained on summed cross-entropy.  There
+// is exactly one backprop implementation.
 #pragma once
 
 #include <cstdint>
@@ -100,90 +98,36 @@ struct MlpConfig {
   common::ThreadPool* pool = nullptr;
 };
 
-/// Regression MLP with linear outputs, trained on (optionally masked) MSE.
+/// A trunk of hidden layers feeding one or more linear heads, trained with
+/// backpropagation.  The loss is chosen by the training call: masked MSE on
+/// a single head (the DQN's regression network) or summed per-head softmax
+/// cross-entropy (the IL policy, one head per control knob).  Both run
+/// through the same shard backprop, reduction and optimizer step; only the
+/// head-output gradient differs.
 class Mlp {
  public:
+  /// Regression network: one linear head of `output_dim` outputs.
   Mlp(std::size_t input_dim, std::size_t output_dim, MlpConfig cfg = {});
+  /// Classifier: one head per entry of `head_sizes` (the head's class count,
+  /// >= 2).  Layers are initialized trunk first, then heads in order, from
+  /// one Rng(cfg.seed) stream.
+  static Mlp classifier(std::size_t input_dim, std::vector<std::size_t> head_sizes,
+                        MlpConfig cfg = {});
 
-  /// Reusable activation buffers of forward_into().  Sized lazily on first
-  /// use (max layer width), then stable: a controller owning one
+  /// Reusable trunk/logit buffers of the single-sample calls.  Sized lazily
+  /// on first use (max layer width), then stable: a controller owning one
   /// InferScratch per network performs zero steady-state heap allocations
   /// per call.
   struct InferScratch {
-    common::Vec a, b;
-  };
-  /// Inference on one sample into `out` (must not alias `x`).
-  void forward_into(const common::Vec& x, common::Vec& out, InferScratch& s) const;
-
-  /// Batch inference: rows = samples.
-  common::Mat forward_batch(const common::Mat& x) const;
-
-  /// One optimizer step on 0.5*||mask .* (f(x) - target)||^2; returns the
-  /// loss.  mask == nullptr means all outputs contribute.  Routed through
-  /// train_batch as a 1-row batch.
-  double train_step(const common::Vec& x, const common::Vec& target,
-                    const common::Vec* mask = nullptr);
-
-  /// One optimizer step on a minibatch (rows = samples); returns the mean
-  /// per-sample loss.  mask, when given, has the same shape as targets.
-  double train_batch(const common::Mat& x, const common::Mat& targets,
-                     const common::Mat* mask = nullptr);
-
-  /// One pass over the dataset in minibatches of `batch_size`, visiting
-  /// samples in an order drawn from the caller's seeded rng; returns the
-  /// mean per-sample loss of the pass.
-  double train_epoch(const common::Mat& xs, const common::Mat& targets,
-                     std::size_t batch_size, common::Rng& rng);
-
-  /// Mini-batch training over a dataset; returns mean loss of the last epoch.
-  double train(const std::vector<common::Vec>& xs, const std::vector<common::Vec>& targets,
-               std::size_t epochs, std::size_t batch_size, common::Rng& rng);
-
-  std::size_t input_dim() const { return input_dim_; }
-  std::size_t output_dim() const { return output_dim_; }
-  std::size_t num_params() const;
-
-  /// Copies all parameters (and optimizer state) from another network of
-  /// identical shape (used for DQN target networks).
-  void copy_params_from(const Mlp& other);
-
-  /// Appends every layer's parameters to `out` (see DenseLayer::append_params).
-  void export_params(std::vector<double>& out) const;
-  /// Restores parameters into a network of identical architecture; false on
-  /// underrun.  Inference is then bitwise identical to the exported network's.
-  bool import_params(const std::vector<double>& in, std::size_t& pos);
-
- private:
-  struct ShardGrads {
-    std::vector<common::Mat> gw;
-    std::vector<common::Vec> gb;
-    double loss = 0.0;
-  };
-  ShardGrads backward_shard(const common::Mat& x, const common::Mat& targets,
-                            const common::Mat* mask, std::size_t row0,
-                            std::size_t row1) const;
-
-  std::size_t input_dim_;
-  std::size_t output_dim_;
-  MlpConfig cfg_;
-  std::vector<DenseLayer> layers_;
-};
-
-/// Shared-trunk multi-head softmax classifier: the IL policy network.
-class MultiHeadClassifier {
- public:
-  /// head_sizes[h] = number of classes of head h.
-  MultiHeadClassifier(std::size_t input_dim, std::vector<std::size_t> head_sizes,
-                      MlpConfig cfg = {});
-
-  /// Per-head class probabilities.
-  std::vector<common::Vec> predict_proba(const common::Vec& x) const;
-
-  /// Reusable trunk/logit buffers of predict_into().
-  struct InferScratch {
     common::Vec a, b, logits;
   };
-  /// Per-head argmax written into `cls` (resized to num_heads()), taken
+  /// Inference on one sample into `out` (must not alias `x`).  Single-head
+  /// networks only; throws std::logic_error on a multi-head network.
+  void forward_into(const common::Vec& x, common::Vec& out, InferScratch& s) const;
+  /// Batch inference: rows = samples.  Single-head networks only.
+  common::Mat forward_batch(const common::Mat& x) const;
+
+  /// Per-head argmax written into `cls` (resized to the head count), taken
   /// directly from the head logits — the softmax is skipped entirely.  exp
   /// is strictly increasing and the per-head division by the partition sum
   /// is monotone, so the logit argmax (first-max tie-break, exactly
@@ -191,52 +135,72 @@ class MultiHeadClassifier {
   /// equivalence is asserted in tests/test_hot_path_alloc.cpp.  Zero heap
   /// allocations once the scratch buffers have grown to the layer widths.
   void predict_into(const common::Vec& x, std::vector<std::size_t>& cls, InferScratch& s) const;
+  /// Per-head class probabilities.
+  std::vector<common::Vec> predict_proba(const common::Vec& x) const;
 
-  /// One optimizer step on the summed cross-entropy of all heads; returns
-  /// the loss.  Routed through train_batch as a 1-row batch.
-  double train_step(const common::Vec& x, const std::vector<std::size_t>& labels);
-
-  /// One optimizer step on a minibatch (rows = samples); labels[i] holds one
-  /// class per head for sample i.  Returns the mean per-sample loss.
+  /// One optimizer step on 0.5*||mask .* (f(x) - target)||^2 over a
+  /// minibatch (rows = samples) of a single-head network; returns the mean
+  /// per-sample loss.  mask, when given, has the same shape as targets.
+  double train_batch(const common::Mat& x, const common::Mat& targets,
+                     const common::Mat* mask = nullptr);
+  /// One optimizer step on the summed cross-entropy of all heads; labels[i]
+  /// holds one class per head for sample i.  Returns the mean per-sample
+  /// loss.
   double train_batch(const common::Mat& x,
                      const std::vector<std::vector<std::size_t>>& labels);
 
-  /// One pass over the dataset in minibatches of `batch_size`; sample order
-  /// is drawn from the caller's seeded rng.  Returns the mean loss.
-  double train_epoch(const std::vector<common::Vec>& xs,
-                     const std::vector<std::vector<std::size_t>>& labels,
-                     std::size_t batch_size, common::Rng& rng);
-
-  /// Mini-batch training; returns mean loss of the final epoch.
+  /// Cross-entropy training for `epochs` passes over the dataset in
+  /// minibatches of `batch_size` (0 = whole dataset); each pass visits the
+  /// samples in an order drawn from the caller's seeded rng.  Returns the
+  /// mean per-sample loss of the final pass.
   double train(const std::vector<common::Vec>& xs,
                const std::vector<std::vector<std::size_t>>& labels, std::size_t epochs,
                std::size_t batch_size, common::Rng& rng);
 
-  std::size_t num_heads() const { return heads_.size(); }
   std::size_t num_params() const;
-
-  /// Appends trunk then head parameters to `out`.
-  void export_params(std::vector<double>& out) const;
-  /// Restores into an identically-shaped classifier; false on underrun.
-  bool import_params(const std::vector<double>& in, std::size_t& pos);
   /// Storage footprint in bytes assuming 4-byte fixed-point parameters (the
   /// paper stores the policy in <20 KB of firmware memory).
   std::size_t storage_bytes() const { return num_params() * 4; }
 
+  /// Copies all parameters (and optimizer state) from a network whose every
+  /// trunk and head layer has the same shape (used for DQN target
+  /// networks).  Throws std::invalid_argument on any shape mismatch and
+  /// leaves *this unchanged.
+  void copy_params_from(const Mlp& other);
+
+  /// Appends trunk then head parameters to `out` (see
+  /// DenseLayer::append_params).
+  void export_params(std::vector<double>& out) const;
+  /// Restores parameters into a network of identical architecture; false on
+  /// underrun.  Inference is then bitwise identical to the exported network's.
+  bool import_params(const std::vector<double>& in, std::size_t& pos);
+
  private:
+  Mlp(std::size_t input_dim, std::vector<std::size_t> head_sizes, MlpConfig cfg);
+
+  /// What a minibatch is scored against: targets (+ optional mask) for the
+  /// masked MSE, or labels for the cross-entropy.
+  struct Objective {
+    const common::Mat* targets = nullptr;
+    const common::Mat* mask = nullptr;
+    const std::vector<std::vector<std::size_t>>* labels = nullptr;
+  };
   struct ShardGrads {
     std::vector<common::Mat> gw;  // trunk layers, then heads
     std::vector<common::Vec> gb;
     double loss = 0.0;
   };
-  ShardGrads backward_shard(const common::Mat& x,
-                            const std::vector<std::vector<std::size_t>>& labels,
-                            std::size_t row0, std::size_t row1) const;
+  std::size_t trunk_size() const { return layers_.size() - head_sizes_.size(); }
+  const common::Vec& trunk_into(const common::Vec& x, InferScratch& s) const;
+  void trunk_batch(const common::Mat& x, std::vector<common::Mat>& acts) const;
+  void require_single_head(const char* what) const;
+  ShardGrads backward_shard(const common::Mat& x, const Objective& obj, std::size_t row0,
+                            std::size_t row1) const;
+  double step(const common::Mat& x, const Objective& obj);
 
   std::size_t input_dim_;
   MlpConfig cfg_;
-  std::vector<DenseLayer> trunk_;
-  std::vector<DenseLayer> heads_;
+  std::vector<DenseLayer> layers_;  // trunk, then one layer per head
   std::vector<std::size_t> head_sizes_;
 };
 

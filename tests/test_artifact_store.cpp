@@ -18,7 +18,6 @@
 #include "core/oracle.h"
 #include "core/rl_controller.h"
 #include "core/runner.h"
-#include "ml/dqn.h"
 #include "ml/qlearn.h"
 #include "soc/platform.h"
 #include "workloads/cpu_benchmarks.h"
@@ -300,32 +299,6 @@ TEST(TabularQ, StateRoundTripContinuesIdentically) {
     const std::uint64_t s = env_a.next_u64() % 16;
     EXPECT_EQ(restored.select_action(s), original.select_action(env_b.next_u64() % 16));
   }
-}
-
-TEST(Dqn, ParamsRoundTripReproducesExport) {
-  ml::DqnConfig cfg;
-  cfg.hidden = {8};
-  ml::Dqn original(3, 4, cfg);
-  common::Rng env(17);
-  for (int i = 0; i < 128; ++i) {
-    const common::Vec s{env.uniform(0, 1), env.uniform(0, 1), env.uniform(0, 1)};
-    const std::size_t a = original.select_action(s);
-    const common::Vec s2{env.uniform(0, 1), env.uniform(0, 1), env.uniform(0, 1)};
-    original.observe(s, a, env.uniform(-1.0, 1.0), s2);
-  }
-  std::vector<double> params;
-  original.export_params(params);
-  ml::Dqn restored(3, 4, cfg);
-  std::size_t pos = 0;
-  ASSERT_TRUE(restored.import_params(params, pos));
-  EXPECT_EQ(pos, params.size());
-  std::vector<double> again;
-  restored.export_params(again);
-  EXPECT_EQ(again, params);
-  // Shape mismatch is rejected, not misread.
-  ml::Dqn wrong_shape(4, 4, cfg);
-  pos = 0;
-  EXPECT_FALSE(wrong_shape.import_params(params, pos));
 }
 
 TEST(QLearningController, StateRoundTripViaBlob) {

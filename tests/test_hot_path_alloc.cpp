@@ -1,8 +1,10 @@
 // The decision hot path is allocation-free in steady state.  Every
 // per-decision inference step has a single implementation — the scratch
 // form — so the checks here are heap-silence plus, where an independent
-// reference exists (the softmax of predict_proba, the retired deque replay
-// buffer), agreement with it.
+// reference exists (the softmax of ml::Mlp::predict_proba, the retired deque
+// replay buffer), agreement with it.  The IL policy and the DQN decide
+// through the same ml::Mlp trunk pass (predict_into and forward_into share
+// it), so one scratch discipline covers both networks.
 //
 // "Steady state" means: scratch/feature buffers have grown to their final
 // sizes (first decide), the DQN replay ring is preallocated, and the
@@ -121,9 +123,9 @@ TEST(HotPathAlloc, MultiHeadPredictIntoMatchesPredictBitwise) {
   // must hold for arbitrary weights, not just converged ones.
   // The reference is the argmax of predict_proba's softmax (first-max
   // tie-break, as std::max_element).
-  ml::MultiHeadClassifier net(12, {4, 5, 13, 19});
+  const ml::Mlp net = ml::Mlp::classifier(12, {4, 5, 13, 19});
   common::Rng rng(23);
-  ml::MultiHeadClassifier::InferScratch scratch;
+  ml::Mlp::InferScratch scratch;
   std::vector<std::size_t> cls;
   for (int i = 0; i < 200; ++i) {
     common::Vec x(12);

@@ -1,4 +1,5 @@
-// Tests for the MLP and multi-head classifier (the IL policy network).
+// Tests for the MLP: the single-head regression network (the DQN value
+// function) and the multi-head classifier (the IL policy network).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,11 +20,26 @@ Vec forward(const Mlp& net, const Vec& x) {
   return y;
 }
 
-std::vector<std::size_t> predict(const MultiHeadClassifier& net, const Vec& x) {
-  MultiHeadClassifier::InferScratch scratch;
+std::vector<std::size_t> predict(const Mlp& net, const Vec& x) {
+  Mlp::InferScratch scratch;
   std::vector<std::size_t> cls;
   net.predict_into(x, cls, scratch);
   return cls;
+}
+
+/// One masked-MSE optimizer step on a 1-row batch.
+double train_one(Mlp& net, const Vec& x, const Vec& target, const Vec* mask = nullptr) {
+  const common::Mat mb = mask != nullptr ? common::Mat::from_rows({*mask}) : common::Mat();
+  return net.train_batch(common::Mat::from_rows({x}), common::Mat::from_rows({target}),
+                         mask != nullptr ? &mb : nullptr);
+}
+
+/// `steps` full-batch masked-MSE optimizer steps; returns the last loss.
+double train_full(Mlp& net, const std::vector<Vec>& xs, const std::vector<Vec>& ys, int steps) {
+  const common::Mat x = common::Mat::from_rows(xs), t = common::Mat::from_rows(ys);
+  double loss = 0.0;
+  for (int i = 0; i < steps; ++i) loss = net.train_batch(x, t);
+  return loss;
 }
 
 TEST(Softmax, NormalizesAndOrders) {
@@ -54,8 +70,7 @@ TEST(Mlp, LearnsXor) {
   Mlp net(2, 1, cfg);
   const std::vector<Vec> xs{{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   const std::vector<Vec> ys{{0.0}, {1.0}, {1.0}, {0.0}};
-  Rng rng(1);
-  net.train(xs, ys, 800, 4, rng);
+  train_full(net, xs, ys, 800);
   for (std::size_t i = 0; i < xs.size(); ++i) {
     EXPECT_NEAR(forward(net, xs[i])[0], ys[i][0], 0.2) << "case " << i;
   }
@@ -67,7 +82,7 @@ TEST(Mlp, MaskedTrainingIgnoresMaskedOutputs) {
   Mlp net(1, 2, cfg);
   const Vec before = forward(net, {0.5});
   Vec mask{1.0, 0.0};
-  for (int i = 0; i < 50; ++i) net.train_step({0.5}, {2.0, -100.0}, &mask);
+  for (int i = 0; i < 50; ++i) train_one(net, {0.5}, {2.0, -100.0}, &mask);
   const Vec after = forward(net, {0.5});
   // Output 0 moved toward target; output 1 only drifts via shared hidden
   // layers (its head weights receive no gradient), so it must not approach
@@ -86,6 +101,23 @@ TEST(Mlp, CopyParamsMakesNetworksIdentical) {
   EXPECT_DOUBLE_EQ(forward(a, x)[1], forward(b, x)[1]);
 }
 
+TEST(Mlp, CopyParamsRejectsShapeMismatch) {
+  // Same layer count, different shapes: the copy must throw and leave the
+  // target intact (still accepting its own input size, same outputs).
+  Mlp big(4, 5, {});
+  const Vec x{0.3, -0.1, 0.7, 0.2};
+  const Vec before = forward(big, x);
+  EXPECT_THROW(big.copy_params_from(Mlp(3, 2, {})), std::invalid_argument);
+  EXPECT_EQ(forward(big, x), before);
+  // Same input/output sizes but a different trunk width.
+  Mlp narrow(4, 5, {{16}, Activation::kTanh, 1e-3, 0.0, 1});
+  EXPECT_THROW(big.copy_params_from(narrow), std::invalid_argument);
+  EXPECT_EQ(forward(big, x), before);
+  // Same total output count, split over two heads.
+  EXPECT_THROW(big.copy_params_from(Mlp::classifier(4, {2, 3})), std::invalid_argument);
+  EXPECT_EQ(forward(big, x), before);
+}
+
 TEST(Mlp, NumParamsMatchesArchitecture) {
   Mlp net(4, 3, {{5}, Activation::kTanh, 1e-3, 0.0, 1});
   // (4*5 + 5) + (5*3 + 3) = 25 + 18
@@ -96,7 +128,16 @@ TEST(Mlp, InvalidDimsThrow) {
   EXPECT_THROW(Mlp(0, 1, {}), std::invalid_argument);
   Mlp net(2, 1, {});
   EXPECT_THROW(forward(net, {1.0}), std::invalid_argument);
-  EXPECT_THROW(net.train_step({1.0, 2.0}, {1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW(train_one(net, {1.0, 2.0}, {1.0, 2.0}), std::invalid_argument);
+}
+
+TEST(Mlp, SingleOutputCallsRejectMultiHeadNetworks) {
+  // A classifier has no single output vector: forward_into/forward_batch
+  // and the MSE train_batch must refuse instead of answering with head 0.
+  Mlp net = Mlp::classifier(2, {3, 2});
+  EXPECT_THROW(forward(net, {0.1, 0.2}), std::logic_error);
+  EXPECT_THROW(net.forward_batch(common::Mat::from_rows({{0.1, 0.2}})), std::logic_error);
+  EXPECT_THROW(train_one(net, {0.1, 0.2}, {1.0, 0.0, 0.0}), std::logic_error);
 }
 
 TEST(Mlp, BatchForwardMatchesScalarForwardBitwise) {
@@ -118,10 +159,10 @@ TEST(Mlp, BatchForwardMatchesScalarForwardBitwise) {
   }
 }
 
-TEST(Mlp, TrainStepMatchesScalarAdamReference) {
+TEST(Mlp, OneRowTrainBatchMatchesScalarAdamReference) {
   // Hand-rolled single-sample Adam step on a linear (no-hidden) network —
-  // the pre-batching per-sample update.  The batch path routed through a
-  // 1-row minibatch must reproduce it bitwise.
+  // the pre-batching per-sample update.  A 1-row minibatch must reproduce
+  // it bitwise.
   MlpConfig cfg;
   cfg.hidden = {};
   cfg.learning_rate = 1e-2;
@@ -161,7 +202,7 @@ TEST(Mlp, TrainStepMatchesScalarAdamReference) {
     b[r] -= cfg.learning_rate * (mb[r] / bc1) / (std::sqrt(vb[r] / bc2) + eps);
   }
 
-  net.train_step(x, target);
+  train_one(net, x, target);
   const Vec probe{-0.7, 1.3, 0.2};
   const Vec got = forward(net, probe);
   for (std::size_t r = 0; r < 2; ++r) {
@@ -182,37 +223,33 @@ TEST(Mlp, SgdOptimizerConvergesOnXor) {
   Mlp net(2, 1, cfg);
   const std::vector<Vec> xs{{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   const std::vector<Vec> ys{{0.0}, {1.0}, {1.0}, {0.0}};
-  Rng rng(1);
-  net.train(xs, ys, 800, 4, rng);
+  train_full(net, xs, ys, 800);
   for (std::size_t i = 0; i < xs.size(); ++i)
     EXPECT_NEAR(forward(net, xs[i])[0], ys[i][0], 0.25) << "case " << i;
 }
 
 TEST(Mlp, AdamConvergesOnRegressionSmoke) {
-  // train_epoch on a toy regression surface: final-epoch loss must collapse
-  // relative to the first epoch.
+  // Full-batch training on a toy regression surface: the final loss must
+  // collapse relative to the first step's.
   MlpConfig cfg;
   cfg.hidden = {16};
   cfg.learning_rate = 5e-3;
   cfg.seed = 31;
   Mlp net(2, 1, cfg);
   Rng data_rng(32);
-  common::Mat xs(128, 2), ts(128, 1);
-  for (std::size_t i = 0; i < xs.rows(); ++i) {
+  std::vector<Vec> xs, ts;
+  for (int i = 0; i < 128; ++i) {
     const double a = data_rng.uniform(-1, 1), b = data_rng.uniform(-1, 1);
-    xs(i, 0) = a;
-    xs(i, 1) = b;
-    ts(i, 0) = std::sin(2.0 * a) * b;
+    xs.push_back({a, b});
+    ts.push_back({std::sin(2.0 * a) * b});
   }
-  Rng rng(33);
-  const double first = net.train_epoch(xs, ts, 16, rng);
-  double last = first;
-  for (int e = 0; e < 120; ++e) last = net.train_epoch(xs, ts, 16, rng);
+  const double first = train_full(net, xs, ts, 1);
+  const double last = train_full(net, xs, ts, 600);
   EXPECT_LT(last, 0.2 * first);
 }
 
 TEST(MultiHead, PredictShapes) {
-  MultiHeadClassifier net(4, {3, 5}, {});
+  const Mlp net = Mlp::classifier(4, {3, 5});
   const auto probs = net.predict_proba({0.1, 0.2, 0.3, 0.4});
   ASSERT_EQ(probs.size(), 2u);
   EXPECT_EQ(probs[0].size(), 3u);
@@ -231,7 +268,7 @@ TEST(MultiHead, LearnsSeparableMapping) {
   cfg.hidden = {16};
   cfg.learning_rate = 5e-3;
   cfg.seed = 6;
-  MultiHeadClassifier net(2, {2, 4}, cfg);
+  Mlp net = Mlp::classifier(2, {2, 4}, cfg);
   Rng rng(7);
   std::vector<Vec> xs;
   std::vector<std::vector<std::size_t>> ys;
@@ -261,7 +298,7 @@ TEST(MultiHead, LossDecreasesWithTraining) {
   MlpConfig cfg;
   cfg.hidden = {8};
   cfg.seed = 9;
-  MultiHeadClassifier net(2, {3}, cfg);
+  Mlp net = Mlp::classifier(2, {3}, cfg);
   Rng rng(10);
   std::vector<Vec> xs;
   std::vector<std::vector<std::size_t>> ys;
@@ -278,16 +315,19 @@ TEST(MultiHead, LossDecreasesWithTraining) {
 TEST(MultiHead, StorageBudgetMatchesPaper) {
   // The paper's policy + buffer must fit in <20 KB; our default-size policy
   // network alone is well under that.
-  MultiHeadClassifier net(12, {4, 5, 13, 19}, {{24, 24}, Activation::kTanh, 1e-3, 0.0, 1});
+  const Mlp net =
+      Mlp::classifier(12, {4, 5, 13, 19}, {{24, 24}, Activation::kTanh, 1e-3, 0.0, 1});
   EXPECT_LT(net.storage_bytes(), 20u * 1024u);
 }
 
 TEST(MultiHead, InvalidLabelsThrow) {
-  MultiHeadClassifier net(2, {3, 2}, {});
-  EXPECT_THROW(net.train_step({0.0, 0.0}, {0}), std::invalid_argument);
-  EXPECT_THROW(net.train_step({0.0, 0.0}, {3, 0}), std::invalid_argument);
-  EXPECT_THROW(MultiHeadClassifier(2, {}, {}), std::invalid_argument);
-  EXPECT_THROW(MultiHeadClassifier(2, {1}, {}), std::invalid_argument);
+  Mlp net = Mlp::classifier(2, {3, 2});
+  const common::Mat x = common::Mat::from_rows({{0.0, 0.0}});
+  using Labels = std::vector<std::vector<std::size_t>>;
+  EXPECT_THROW(net.train_batch(x, Labels{{0}}), std::invalid_argument);
+  EXPECT_THROW(net.train_batch(x, Labels{{3, 0}}), std::invalid_argument);
+  EXPECT_THROW(Mlp::classifier(2, {}, {}), std::invalid_argument);
+  EXPECT_THROW(Mlp::classifier(2, {1}, {}), std::invalid_argument);
 }
 
 }  // namespace

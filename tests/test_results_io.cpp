@@ -333,14 +333,5 @@ TEST(JsonlCompare, FilteredOutNullBaselineMetricsAreIgnored) {
   EXPECT_FALSE(compare_jsonl({base}, {make_record("a", 1.0)}, opts).ok());
 }
 
-TEST(JsonPathArg, ParsesFlagPair) {
-  const char* argv1[] = {"bench", "--json", "/tmp/x.jsonl"};
-  EXPECT_EQ(json_path_arg(3, const_cast<char**>(argv1)), "/tmp/x.jsonl");
-  const char* argv2[] = {"bench"};
-  EXPECT_EQ(json_path_arg(1, const_cast<char**>(argv2)), "");
-  const char* argv3[] = {"bench", "--json"};
-  EXPECT_THROW(json_path_arg(2, const_cast<char**>(argv3)), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace oal::core

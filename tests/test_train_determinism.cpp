@@ -60,14 +60,14 @@ Vec train_and_probe_mlp(common::ThreadPool* pool) {
   return flat;
 }
 
-/// Trains one MultiHeadClassifier over shuffled epochs and probes it.
+/// Trains one multi-head classifier over shuffled epochs and probes it.
 Vec train_and_probe_multihead(common::ThreadPool* pool) {
   MlpConfig cfg;
   cfg.hidden = {10};
   cfg.learning_rate = 1e-2;
   cfg.seed = 17;
   cfg.pool = pool;
-  MultiHeadClassifier net(3, {2, 4}, cfg);
+  Mlp net = Mlp::classifier(3, {2, 4}, cfg);
   Rng data_rng(19);
   std::vector<Vec> xs;
   std::vector<std::vector<std::size_t>> labels;
@@ -157,7 +157,7 @@ PinnedDigests train_pinned_classifier(OptimizerConfig::Kind kind, common::Thread
   cfg.optimizer.kind = kind;
   cfg.optimizer.momentum = 0.9;
   cfg.pool = pool;
-  MultiHeadClassifier net(5, {3, 4}, cfg);
+  Mlp net = Mlp::classifier(5, {3, 4}, cfg);
   Rng data_rng(43);
   std::vector<Vec> xs;
   std::vector<std::vector<std::size_t>> labels;
