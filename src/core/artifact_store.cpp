@@ -239,6 +239,9 @@ std::vector<OracleStoreEntry> ArtifactStore::load_oracle_entries() const {
   std::error_code ec;
   for (const auto& de : fs::directory_iterator(dir_, ec)) {
     if (!de.is_regular_file()) continue;
+    // A complete temp file whose rename is still in flight duplicates its
+    // bucket's entries; only renamed buckets are durable.
+    if (de.path().filename().string().find(".tmp.") != std::string::npos) continue;
     const ParsedFile f = parse_file(de.path().string());
     if (!f.valid || f.kind != kKindOracle) continue;
     Reader r{f.payload.data(), f.payload.size()};

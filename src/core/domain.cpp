@@ -66,6 +66,37 @@ Metrics noc_metrics(const NocScenario& s, const NocRunResult& run) {
   return m;
 }
 
+/// Binds a scenario-private thermal adapter to a runner's arbiter, observer
+/// and telemetry hooks (RunnerOptions and GpuRunnerHooks share the member
+/// names).  The telemetry channel is read-only: thermal-aware controllers
+/// observe it; blind controllers ignore it, keeping their runs bitwise
+/// identical.
+template <typename Adapter, typename Hooks>
+void bind_thermal_hooks(const std::shared_ptr<Adapter>& adapter, Hooks& hooks) {
+  hooks.arbiter = [adapter](const auto& in, const auto& proposed) {
+    return adapter->arbitrate(in, proposed);
+  };
+  hooks.observer = [adapter](const auto& in, const auto& applied, const auto& r) {
+    adapter->observe(in, applied, r);
+  };
+  hooks.telemetry = [adapter] { return adapter->telemetry(); };
+}
+
+/// Copies the budgeter's end-of-run state into a thermal result and appends
+/// the four thermal metrics after the domain metrics: the clamp count under
+/// its domain's name, the peak temperatures and the final budget.
+template <typename ThermalResult>
+void record_thermal(const soc::ThermalBudget& budget, const char* clamp_metric,
+                    std::size_t clamped, ThermalResult& result, Metrics& m) {
+  result.peak_junction_c = budget.peak_junction_c();
+  result.peak_skin_c = budget.peak_skin_c();
+  result.final_budget_w = budget.budget_w();
+  m.emplace_back(clamp_metric, static_cast<double>(clamped));
+  m.emplace_back("peak_junction_c", result.peak_junction_c);
+  m.emplace_back("peak_skin_c", result.peak_skin_c);
+  m.emplace_back("final_budget_w", result.final_budget_w);
+}
+
 /// Shared GPU frame-loop protocol (factory checks, scenario-private platform
 /// + Rng, on_complete); `customize` binds hooks to this scenario's platform
 /// instance — the GPU analogue of ExperimentEngine::run_scenario's
@@ -101,29 +132,14 @@ AnyResult run_thermal_gpu_scenario(const ThermalGpuScenario& s) {
       s.base, [&adapter, &s](gpu::GpuPlatform& platform, GpuRunnerHooks& hooks) {
         adapter = std::make_shared<soc::ThermalGpuAdapter>(platform, 1.0 / s.base.fps_target,
                                                            s.thermal);
-        hooks.arbiter = [adapter](const gpu::FrameDescriptor& f, const gpu::GpuConfig& proposed) {
-          return adapter->arbitrate(f, proposed);
-        };
-        hooks.observer = [adapter](const gpu::FrameDescriptor& f, const gpu::GpuConfig& applied,
-                                   const gpu::FrameResult& r) { adapter->observe(f, applied, r); };
-        // Read-only channel: thermal-aware controllers (NmpcConfig::
-        // thermal_aware) observe it; blind controllers ignore it, keeping
-        // their runs bitwise identical.
-        hooks.telemetry = [adapter] { return adapter->telemetry(); };
+        bind_thermal_hooks(adapter, hooks);
       });
 
   ThermalGpuRunResult result;
   result.run = std::move(base_run);
   result.clamped_frames = adapter->clamped_frames();
-  result.peak_junction_c = adapter->peak_junction_c();
-  result.peak_skin_c = adapter->peak_skin_c();
-  result.final_budget_w = adapter->budget_w();
-
   Metrics m = gpu_metrics(result.run);
-  m.emplace_back("clamped_frames", static_cast<double>(result.clamped_frames));
-  m.emplace_back("peak_junction_c", result.peak_junction_c);
-  m.emplace_back("peak_skin_c", result.peak_skin_c);
-  m.emplace_back("final_budget_w", result.final_budget_w);
+  record_thermal(adapter->budget(), "clamped_frames", result.clamped_frames, result, m);
   return AnyResult(s.base.id, std::move(result), std::move(m));
 }
 
@@ -150,31 +166,14 @@ AnyResult run_thermal_scenario(const ThermalDrmScenario& s) {
   ScenarioResult base_result = ExperimentEngine::run_scenario(
       s.base, [&adapter, &s](soc::BigLittlePlatform& platform, RunnerOptions& opts) {
         adapter = std::make_shared<soc::ThermalSocAdapter>(platform, s.thermal);
-        opts.arbiter = [adapter](const soc::SnippetDescriptor& snip,
-                                 const soc::SocConfig& proposed) {
-          return adapter->arbitrate(snip, proposed);
-        };
-        opts.observer = [adapter](const soc::SnippetDescriptor& snip,
-                                  const soc::SocConfig& applied, const soc::SnippetResult& r) {
-          adapter->observe(snip, applied, r);
-        };
-        // Read-only channel: thermal-aware controllers observe it; blind
-        // controllers ignore it, keeping their runs bitwise identical.
-        opts.telemetry = [adapter] { return adapter->telemetry(); };
+        bind_thermal_hooks(adapter, opts);
       });
 
   ThermalRunResult result;
   result.run = std::move(base_result.run);
   result.clamped_snippets = adapter->clamped_snippets();
-  result.peak_junction_c = adapter->peak_junction_c();
-  result.peak_skin_c = adapter->peak_skin_c();
-  result.final_budget_w = adapter->budget_w();
-
   Metrics m = drm_metrics(result.run);
-  m.emplace_back("clamped_snippets", static_cast<double>(result.clamped_snippets));
-  m.emplace_back("peak_junction_c", result.peak_junction_c);
-  m.emplace_back("peak_skin_c", result.peak_skin_c);
-  m.emplace_back("final_budget_w", result.final_budget_w);
+  record_thermal(adapter->budget(), "clamped_snippets", result.clamped_snippets, result, m);
   for (Metric& e : base_result.extra) m.push_back(std::move(e));
   return AnyResult(s.base.id, std::move(result), std::move(m));
 }

@@ -150,13 +150,15 @@ struct NocRunResult {
 // ---------------------------------------------------------------------------
 
 /// A DRM scenario executed under a thermal power budget: a scenario-private
-/// soc::ThermalSocAdapter advances the RC network from the platform's power
-/// trace and clamps every controller decision to the sustainable/transient
-/// budget (DrmRunner arbiter/observer hooks).  The adapter's telemetry is
-/// published through the runner's read-only channel, so thermal-aware
-/// controllers (OnlineIlConfig::thermal_aware, thermal-aware RL) observe
-/// temperatures and budget headroom; blind controllers ignore the channel
-/// and stay bitwise identical to the pre-telemetry behavior.
+/// soc::ThermalSocAdapter feeds the platform's power trace into its
+/// soc::ThermalBudget and clamps every controller decision to the
+/// sustainable/transient budget (DrmRunner arbiter/observer hooks).  The
+/// budget's telemetry is published through the runner's read-only channel,
+/// so thermal-aware controllers (OnlineIlConfig::thermal_aware,
+/// thermal-aware RL) observe temperatures and budget headroom; blind
+/// controllers ignore the channel and stay bitwise identical to the
+/// pre-telemetry behavior.  The GPU twin below binds the same three hooks
+/// and reports the same four thermal metrics.
 struct ThermalDrmScenario {
   Scenario base;
   soc::ThermalConstraintParams thermal;
@@ -171,13 +173,12 @@ struct ThermalRunResult {
 };
 
 /// A GPU-ENMPC frame loop executed under a thermal power budget: a
-/// scenario-private soc::ThermalGpuAdapter maps frame energies onto the RC
-/// network's GPU + PCB nodes and clamps controller decisions to the
-/// skin/junction-derived budget (GpuRunner arbiter/observer hooks).  The
-/// adapter's telemetry is published through the runner's read-only channel,
-/// so budget-constrained NMPC controllers (NmpcConfig::thermal_aware)
-/// observe the budget they will be held to; blind controllers ignore the
-/// channel and stay bitwise identical to the pre-telemetry behavior.
+/// scenario-private soc::ThermalGpuAdapter maps frame energies onto the GPU
+/// + PCB nodes of the same soc::ThermalBudget and clamps controller
+/// decisions to the skin/junction-derived budget (GpuRunner arbiter/observer
+/// hooks).  Budget-constrained NMPC controllers (NmpcConfig::thermal_aware)
+/// observe the budget they will be held to through the telemetry channel;
+/// blind controllers ignore it.
 struct ThermalGpuScenario {
   GpuScenario base;
   soc::ThermalGpuConstraintParams thermal;

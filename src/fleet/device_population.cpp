@@ -126,7 +126,7 @@ DeviceSpec DevicePopulation::spec(std::size_t index) const {
                    trace.begin() + static_cast<std::ptrdiff_t>(start + len));
   }
 
-  char leaf[16];
+  char leaf[24];  // "d" + any size_t + NUL
   std::snprintf(leaf, sizeof leaf, "d%05zu", index);
   d.cohort = std::string(corner.name) + "/" + vbin.name + "/" + ambient_bin(d.ambient_c);
   d.id = "fleet/" + d.cohort + "/" + leaf;
@@ -170,22 +170,6 @@ std::string DevicePopulation::cohort_of_id(const std::string& device_id) {
       leaf <= root.size())
     throw std::invalid_argument("fleet: id outside the fleet scheme: '" + device_id + "'");
   return device_id.substr(root.size(), leaf - root.size());
-}
-
-const std::vector<std::string>& DevicePopulation::corner_names() {
-  static const std::vector<std::string> names{kCorners[0].name, kCorners[1].name,
-                                              kCorners[2].name};
-  return names;
-}
-
-const std::vector<std::string>& DevicePopulation::vbin_names() {
-  static const std::vector<std::string> names{kVbins[0].name, kVbins[1].name, kVbins[2].name};
-  return names;
-}
-
-const std::vector<std::string>& DevicePopulation::ambient_names() {
-  static const std::vector<std::string> names{"cool", "temperate", "hot"};
-  return names;
 }
 
 }  // namespace oal::fleet

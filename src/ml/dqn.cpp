@@ -80,8 +80,8 @@ void Dqn::observe(const common::Vec& state, std::size_t action, double reward,
 
 void Dqn::train_batch() {
   // Sample the whole minibatch up front (same rng draw count and order as the
-  // historical per-transition loop), then evaluate it through one batched
-  // online/target forward pass each instead of per-transition vectors.
+  // historical per-transition loop), then evaluate the next states through
+  // one batched target forward pass instead of per-transition vectors.
   const std::size_t bsz = cfg_.batch_size;
   std::vector<const Transition*> batch(bsz);
   for (std::size_t b = 0; b < bsz; ++b) {
@@ -98,8 +98,10 @@ void Dqn::train_batch() {
     next_states.set_row(b, batch[b]->next_state);
   }
 
+  // Only the taken action's column is trained; every other column is masked
+  // to a zero error, so its target value is irrelevant.
   const common::Mat next_q = target_.forward_batch(next_states);
-  common::Mat targets = online_.forward_batch(states);
+  common::Mat targets(bsz, num_actions_, 0.0);
   common::Mat mask(bsz, num_actions_, 0.0);
   for (std::size_t b = 0; b < bsz; ++b) {
     double best_next = next_q(b, 0);

@@ -1,23 +1,30 @@
-// Thermally-constrained big.LITTLE platform adapter (paper Section III-A,
-// after Bhat et al.: "the power budget is used as a metric to throttle the
-// frequency and number of operating cores").
+// Thermally-constrained platform adapters (paper Section III-A, after Bhat
+// et al.: "the power budget is used as a metric to throttle the frequency and
+// number of operating cores").
 //
-// ThermalSocAdapter couples the thermal/ layer into the DRM hot path: it
-// advances a compact RC network from the platform's per-snippet power
-// breakdown (big cluster, little cluster, DRAM+uncore on the PCB node) with
-// temperature-dependent leakage feedback, periodically recomputes the power
-// budget (transient_power_headroom over a configurable horizon, or
-// max_sustainable_power for a steady-state budget), and clamps proposed
-// SocConfigs that the platform's power model predicts would exceed it.
-// Throttling order mirrors a firmware budgeter: big frequency first, then
-// big cores, then little frequency, then little cores (floor: 1 LITTLE core
-// at minimum frequency).
+// ThermalBudget is the one budgeter both control loops share: it advances a
+// compact RC network from per-node power injections with temperature-
+// dependent leakage feedback, periodically recomputes the power budget
+// (transient_power_headroom over a configurable horizon, or
+// max_sustainable_power for a steady-state budget), tracks peak junction and
+// skin temperatures, and publishes the telemetry snapshot.
 //
-// The adapter plugs into DrmRunner through the arbiter/observer hooks, so
-// any DrmController runs unmodified under a thermal budget; the budgeter
-// consults only the platform's deterministic power model (the simulator
-// stand-in for a power-meter feedback loop), never measurement noise, so
-// runs stay bitwise reproducible.
+// Two thin adapters bind it to a runner's arbiter/observer/telemetry hooks
+// and keep only what differs per platform — the ideal power model the
+// arbiter consults, the throttle ladder, the power-to-node mapping and time
+// step of the observer, and the nominal power shape:
+//  * ThermalSocAdapter (DrmRunner): big cluster, little cluster and
+//    DRAM+uncore on the PCB node, one step per executed snippet; ladder big
+//    frequency, big cores, little frequency, little cores (floor: 1 LITTLE
+//    core at minimum frequency).
+//  * ThermalGpuAdapter (GpuRunner): GPU energy on the GPU node and the rest
+//    of the producer side on the PCB node, one step per frame period; ladder
+//    frequency, then slices (floor: 1 slice at minimum frequency).
+//
+// Any controller runs unmodified under a budget.  Budgeting consults only the
+// platform's deterministic power model (the simulator stand-in for a
+// power-meter feedback loop), never measurement noise, so runs stay bitwise
+// reproducible.
 #pragma once
 
 #include <cstddef>
@@ -50,34 +57,36 @@ struct ThermalConstraintParams {
                                 25.0};
 };
 
-/// One step down the firmware throttle ladder: big frequency first, then
-/// big cores, then little frequency, then little cores.  Returns false at
-/// the floor (1 LITTLE core at minimum frequency).  Shared by the budget
-/// arbiter and by thermal-aware controllers that internalize it (they must
-/// descend the *same* ladder or their proposals diverge from what the
-/// arbiter would grant).
-bool throttle_step(SocConfig& c);
+/// Thermal constraints for the GPU frame loop (ENMPC under a skin budget):
+/// the same fields with a GPU-heavy leakage default.
+struct ThermalGpuConstraintParams : ThermalConstraintParams {
+  ThermalGpuConstraintParams() {
+    leakage = {{0.05, 0.03, 0.30, 0.0, 0.0}, {0.02, 0.02, 0.03, 0.0, 0.0}, 25.0};
+  }
+};
 
-class ThermalSocAdapter {
+/// RC network + power budget shared by both adapters (node order of
+/// thermal::RcThermalNetwork::mobile_soc: big, little, gpu, pcb, skin).
+class ThermalBudget {
  public:
-  explicit ThermalSocAdapter(BigLittlePlatform& platform, ThermalConstraintParams params = {});
+  /// `nominal_shape_w` is the per-node power shape the budget assumes until
+  /// the first advance(); `junction_node` seeds the telemetry's hottest-die
+  /// search.  Throws std::invalid_argument on per-node vectors whose size
+  /// does not match the network.
+  ThermalBudget(ThermalConstraintParams params, common::Vec nominal_shape_w,
+                std::size_t junction_node);
 
-  /// Clamps a proposed configuration to the current power budget (DrmRunner
-  /// arbiter).  Counts a clamp when the returned config differs.
-  SocConfig arbitrate(const SnippetDescriptor& s, const SocConfig& proposed);
-
-  /// Advances the RC network by the executed snippet's time under its power
-  /// breakdown + leakage, and refreshes the budget on the configured cadence
-  /// (DrmRunner observer).
-  void observe(const SnippetDescriptor& s, const SocConfig& applied, const SnippetResult& r);
+  /// Advances the network by `dt_s` under `inject_w` plus leakage, records
+  /// `inject_w` as the current power shape, and refreshes the budget on the
+  /// configured cadence.
+  void advance(const common::Vec& inject_w, double dt_s);
 
   double budget_w() const { return budget_w_; }
-  std::size_t clamped_snippets() const { return clamped_; }
   double peak_junction_c() const { return peak_junction_c_; }
   double peak_skin_c() const { return peak_skin_c_; }
   const thermal::RcThermalNetwork& network() const { return net_; }
 
-  /// Read-only snapshot of the current thermal state for the runner's
+  /// Read-only snapshot of the current thermal state for a runner's
   /// telemetry channel (temperatures, limits, budget, last observed power).
   /// Side-effect free, so publishing it never perturbs a run.
   ThermalTelemetry telemetry() const;
@@ -86,37 +95,45 @@ class ThermalSocAdapter {
   void refresh_budget();
   void track_peaks();
 
-  BigLittlePlatform* platform_;
   ThermalConstraintParams params_;
   thermal::RcThermalNetwork net_;
   common::Vec shape_w_;  ///< last observed per-node power shape
+  std::size_t junction_node_;
   double budget_w_ = 0.0;
   double since_budget_s_ = 0.0;
-  std::size_t clamped_ = 0;
   double peak_junction_c_ = 0.0;
   double peak_skin_c_ = 0.0;
 };
 
-/// Thermal constraints for the GPU frame loop (ENMPC under a skin budget).
-/// Shares the RC network/budget machinery with the DRM adapter; the power
-/// injection maps the GPU platform's per-frame energies onto the RC
-/// network's GPU node (finally exercising it) and the PCB node (CPU +
-/// uncore + DRAM producer side).
-struct ThermalGpuConstraintParams {
-  thermal::PowerBudgetConfig limits;  ///< junction/skin limits + skin node
-  /// Horizon for transient_power_headroom; <= 0 switches to the steady-state
-  /// max_sustainable_power budget.
-  double horizon_s = 10.0;
-  /// Simulated-time cadence of budget recomputation.
-  double budget_interval_s = 0.5;
-  double ambient_c = 25.0;
-  /// Starting temperatures (deg C) per RC node; empty = ambient everywhere.
-  common::Vec initial_temperature_c;
-  /// Temperature-dependent leakage injected on top of the platform's power
-  /// (node order: big, little, gpu, pcb, skin) — GPU-heavy by default.
-  thermal::LeakageModel leakage{{0.05, 0.03, 0.30, 0.0, 0.0},
-                                {0.02, 0.02, 0.03, 0.0, 0.0},
-                                25.0};
+/// One step down the firmware throttle ladder: big frequency first, then
+/// big cores, then little frequency, then little cores.  Returns false at
+/// the floor (1 LITTLE core at minimum frequency).  Shared by the budget
+/// arbiter and by thermal-aware controllers that internalize it (they must
+/// descend the *same* ladder or their proposals diverge from what the
+/// arbiter would grant).
+bool throttle_step(SocConfig& c);
+
+/// DrmRunner-facing thermal budgeter.
+class ThermalSocAdapter {
+ public:
+  explicit ThermalSocAdapter(BigLittlePlatform& platform, ThermalConstraintParams params = {});
+
+  /// Clamps a proposed configuration to the current power budget (DrmRunner
+  /// arbiter).  Counts a clamp when the returned config differs.
+  SocConfig arbitrate(const SnippetDescriptor& s, const SocConfig& proposed);
+
+  /// Advances the budget by the executed snippet's time under its power
+  /// breakdown (DrmRunner observer).
+  void observe(const SnippetDescriptor& s, const SocConfig& applied, const SnippetResult& r);
+
+  const ThermalBudget& budget() const { return budget_; }
+  std::size_t clamped_snippets() const { return clamped_; }
+  ThermalTelemetry telemetry() const { return budget_.telemetry(); }
+
+ private:
+  BigLittlePlatform* platform_;
+  ThermalBudget budget_;
+  std::size_t clamped_ = 0;
 };
 
 /// One step down the GPU firmware throttle ladder: frequency first (fast,
@@ -127,12 +144,7 @@ struct ThermalGpuConstraintParams {
 /// diverge from what the arbiter would grant.
 bool gpu_throttle_step(gpu::GpuConfig& c);
 
-/// GpuRunner-facing thermal budgeter: clamps proposed GpuConfigs to the
-/// current power budget (frequency first, then slices; floor: 1 slice at
-/// minimum frequency) and advances the RC network from rendered frames.
-/// Plugs into GpuRunner through its arbiter/observer hooks, mirroring the
-/// DRM adapter's contract: budgeting consults only the platform's
-/// deterministic ideal model, so runs stay bitwise reproducible.
+/// GpuRunner-facing thermal budgeter.
 class ThermalGpuAdapter {
  public:
   ThermalGpuAdapter(gpu::GpuPlatform& platform, double period_s,
@@ -142,37 +154,20 @@ class ThermalGpuAdapter {
   /// arbiter).  Counts a clamp when the returned config differs.
   gpu::GpuConfig arbitrate(const gpu::FrameDescriptor& f, const gpu::GpuConfig& proposed);
 
-  /// Advances the RC network by one frame period under the frame's measured
-  /// energies + leakage, refreshing the budget on the configured cadence
-  /// (GpuRunner observer).
+  /// Advances the budget by one frame period under the frame's measured
+  /// energies (GpuRunner observer).
   void observe(const gpu::FrameDescriptor& f, const gpu::GpuConfig& applied,
                const gpu::FrameResult& r);
 
-  double budget_w() const { return budget_w_; }
+  const ThermalBudget& budget() const { return budget_; }
   std::size_t clamped_frames() const { return clamped_; }
-  double peak_junction_c() const { return peak_junction_c_; }
-  double peak_skin_c() const { return peak_skin_c_; }
-  const thermal::RcThermalNetwork& network() const { return net_; }
-
-  /// Read-only snapshot of the current thermal state for the runner's
-  /// telemetry channel (temperatures, limits, budget, last observed power).
-  /// Side-effect free, so publishing it never perturbs a run.
-  ThermalTelemetry telemetry() const;
+  ThermalTelemetry telemetry() const { return budget_.telemetry(); }
 
  private:
-  void refresh_budget();
-  void track_peaks();
-
   gpu::GpuPlatform* platform_;
   double period_s_;
-  ThermalGpuConstraintParams params_;
-  thermal::RcThermalNetwork net_;
-  common::Vec shape_w_;  ///< last observed per-node power shape
-  double budget_w_ = 0.0;
-  double since_budget_s_ = 0.0;
+  ThermalBudget budget_;
   std::size_t clamped_ = 0;
-  double peak_junction_c_ = 0.0;
-  double peak_skin_c_ = 0.0;
 };
 
 }  // namespace oal::soc

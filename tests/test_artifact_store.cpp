@@ -164,6 +164,20 @@ TEST(OracleStore, CorruptBucketRecomputesWithoutCrash) {
   EXPECT_EQ(healed.store_loaded(), trace.size());
 }
 
+TEST(OracleStore, InFlightTempFileIsNotLoaded) {
+  // A writer's complete temp file, caught before its rename, holds the same
+  // entries as the bucket it replaces; loading it too would double-count.
+  const fs::path dir = fresh_dir("in-flight");
+  soc::BigLittlePlatform plat;
+  const auto trace = test_trace("FFT", 2, 3);
+  OracleCache cache(std::make_shared<ArtifactStore>(dir.string()));
+  for (const auto& s : trace) (void)cache.config(plat, s, Objective::kEnergy);
+  EXPECT_EQ(cache.flush(), trace.size());
+  const fs::path bucket = only_file(dir);
+  fs::copy_file(bucket, bucket.string() + ".tmp.1.0");
+  EXPECT_EQ(ArtifactStore(dir.string()).load_oracle_entries().size(), trace.size());
+}
+
 TEST(OracleSearch, PooledMatchesSerialBitwise) {
   soc::BigLittlePlatform plat;
   common::ThreadPool pool(4);

@@ -73,12 +73,17 @@ TEST(DevicePopulation, QuantizedCornersKeepThePlatformSetBounded) {
   const DevicePopulation pop(small_config(160));
   std::set<std::pair<double, double>> fingerprints;
   std::set<std::string> cohorts;
+  const std::vector<std::string> corners{"slow", "typ", "fast"};
+  const std::vector<std::string> vbins{"vlow", "vnom", "vhigh"};
   for (std::size_t i = 0; i < pop.size(); ++i) {
     const DeviceSpec d = pop.spec(i);
     fingerprints.insert({d.platform.leak_big_w_per_v, d.platform.v_max_big});
     cohorts.insert(d.cohort);
-    EXPECT_LT(d.corner, DevicePopulation::corner_names().size());
-    EXPECT_LT(d.vbin, DevicePopulation::vbin_names().size());
+    // The cohort names the drawn corner, voltage bin and ambient bin.
+    ASSERT_LT(d.corner, corners.size());
+    ASSERT_LT(d.vbin, vbins.size());
+    const char* ambient = d.ambient_c < 18.0 ? "cool" : d.ambient_c < 32.0 ? "temperate" : "hot";
+    EXPECT_EQ(d.cohort, corners[d.corner] + "/" + vbins[d.vbin] + "/" + ambient);
     EXPECT_GE(d.ambient_c, 5.0);
     EXPECT_LE(d.ambient_c, 42.0);
   }

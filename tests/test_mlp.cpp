@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "ml/mlp.h"
@@ -89,6 +91,17 @@ TEST(Mlp, MaskedTrainingIgnoresMaskedOutputs) {
   // the absurd -100 target.
   EXPECT_LT(std::abs(after[0] - 2.0), std::abs(before[0] - 2.0));
   EXPECT_GT(after[1], -5.0);
+
+  // The masked target's value never reaches the weights: an equal-seed net
+  // trained against a zero masked target ends bitwise identical (Dqn relies
+  // on this to leave untaken actions' targets at zero).
+  Mlp zero_target(1, 2, cfg);
+  for (int i = 0; i < 50; ++i) train_one(zero_target, {0.5}, {2.0, 0.0}, &mask);
+  std::vector<double> pa, pb;
+  net.export_params(pa);
+  zero_target.export_params(pb);
+  ASSERT_EQ(pa.size(), pb.size());
+  EXPECT_EQ(std::memcmp(pa.data(), pb.data(), pa.size() * sizeof(double)), 0);
 }
 
 TEST(Mlp, CopyParamsMakesNetworksIdentical) {

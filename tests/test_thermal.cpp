@@ -217,6 +217,44 @@ TEST(PowerBudget, TransientHeadroomExceedsSustainable) {
 
 // ---- Thermal budget adapters (soc layer) ----------------------------------
 
+TEST(ThermalBudget, RefreshesOnCadenceAndTracksShape) {
+  soc::ThermalConstraintParams p;
+  p.ambient_c = 40.0;
+  p.horizon_s = 0.0;
+  p.budget_interval_s = 1.0;
+  const common::Vec nominal{0.55, 0.10, 0.0, 0.35, 0.0};
+  soc::ThermalBudget budget(p, nominal, 0);
+  const double initial = budget.budget_w();
+  EXPECT_DOUBLE_EQ(budget.telemetry().last_power_w, common::sum(nominal));
+
+  // A GPU-heavy shape: the snapshot follows at once, the budget only at the
+  // next cadence tick (0.4 s + 0.4 s < 1 s <= 1.2 s).
+  const common::Vec gpu_heavy{0.0, 0.0, 2.0, 1.0, 0.0};
+  budget.advance(gpu_heavy, 0.4);
+  budget.advance(gpu_heavy, 0.4);
+  EXPECT_EQ(budget.budget_w(), initial);
+  EXPECT_DOUBLE_EQ(budget.telemetry().last_power_w, 3.0);
+  budget.advance(gpu_heavy, 0.4);
+  EXPECT_NE(budget.budget_w(), initial);
+  EXPECT_GT(budget.peak_junction_c(), p.ambient_c);
+  EXPECT_GT(budget.peak_skin_c(), p.ambient_c);
+
+  EXPECT_THROW(budget.advance({1.0, 1.0}, 0.4), std::invalid_argument);
+  EXPECT_THROW(soc::ThermalBudget(p, {0.5, 0.5}, 0), std::invalid_argument);
+}
+
+TEST(ThermalBudget, GpuParamsOnlyChangeTheLeakageDefault) {
+  const soc::ThermalConstraintParams cpu;
+  const soc::ThermalGpuConstraintParams gpu;
+  EXPECT_EQ(gpu.horizon_s, cpu.horizon_s);
+  EXPECT_EQ(gpu.budget_interval_s, cpu.budget_interval_s);
+  EXPECT_EQ(gpu.ambient_c, cpu.ambient_c);
+  EXPECT_EQ(gpu.limits.skin_node, cpu.limits.skin_node);
+  EXPECT_EQ(gpu.leakage.p0_w, (common::Vec{0.05, 0.03, 0.30, 0.0, 0.0}));
+  EXPECT_EQ(gpu.leakage.k_per_c, (common::Vec{0.02, 0.02, 0.03, 0.0, 0.0}));
+  EXPECT_NE(gpu.leakage.p0_w, cpu.leakage.p0_w);
+}
+
 /// Hot-enclosure params whose steady-state budget binds against the
 /// platform's top configurations (the bench_thermal_model setting).
 soc::ThermalConstraintParams binding_soc_params() {
@@ -236,7 +274,7 @@ TEST(ThermalSocAdapter, ThrottleLadderOrder) {
   const soc::SocConfig clamped = adapter.arbitrate(snip, proposed);
 
   ASSERT_TRUE(clamped != proposed);
-  EXPECT_LE(plat.execute_ideal(snip, clamped).avg_power_w, adapter.budget_w());
+  EXPECT_LE(plat.execute_ideal(snip, clamped).avg_power_w, adapter.budget().budget_w());
   EXPECT_EQ(adapter.clamped_snippets(), 1u);
 
   // Ladder order: big frequency first, then big cores, then little
@@ -256,7 +294,7 @@ TEST(ThermalSocAdapter, ThrottleLadderOrder) {
 
   // The clamp must land exactly where the reference ladder lands.
   soc::SocConfig expected = proposed;
-  while (plat.execute_ideal(snip, expected).avg_power_w > adapter.budget_w()) {
+  while (plat.execute_ideal(snip, expected).avg_power_w > adapter.budget().budget_w()) {
     if (expected.num_big > 0) {
       if (expected.big_freq_idx > 0) {
         --expected.big_freq_idx;
@@ -338,7 +376,7 @@ TEST(ThermalSocAdapter, TelemetrySnapshotReflectsAdapterState) {
   soc::ThermalSocAdapter adapter(plat, p);
   const soc::ThermalTelemetry t = adapter.telemetry();
   EXPECT_TRUE(t.constrained);
-  EXPECT_DOUBLE_EQ(t.budget_w, adapter.budget_w());
+  EXPECT_DOUBLE_EQ(t.budget_w, adapter.budget().budget_w());
   EXPECT_DOUBLE_EQ(t.junction_limit_c, p.limits.t_max_junction_c);
   EXPECT_DOUBLE_EQ(t.skin_limit_c, p.limits.t_max_skin_c);
   EXPECT_DOUBLE_EQ(t.ambient_c, p.ambient_c);
@@ -370,7 +408,7 @@ TEST(ThermalGpuAdapter, ThrottleLadderFrequencyThenSlices) {
 
   ASSERT_TRUE(clamped != proposed);
   EXPECT_LE(plat.render_ideal(heavy, clamped, period_s).pkg_dram_energy_j / period_s,
-            adapter.budget_w());
+            adapter.budget().budget_w());
   // Frequency throttles before slice gating.
   if (clamped.num_slices != proposed.num_slices) {
     EXPECT_EQ(clamped.freq_idx, 0);
@@ -403,7 +441,7 @@ TEST(ThermalGpuAdapter, TelemetrySnapshotReflectsAdapterState) {
   soc::ThermalGpuAdapter adapter(plat, 1.0 / 30.0, p);
   const soc::ThermalTelemetry t = adapter.telemetry();
   EXPECT_TRUE(t.constrained);
-  EXPECT_DOUBLE_EQ(t.budget_w, adapter.budget_w());
+  EXPECT_DOUBLE_EQ(t.budget_w, adapter.budget().budget_w());
   EXPECT_DOUBLE_EQ(t.junction_limit_c, p.limits.t_max_junction_c);
   EXPECT_DOUBLE_EQ(t.skin_limit_c, p.limits.t_max_skin_c);
   EXPECT_DOUBLE_EQ(t.ambient_c, p.ambient_c);
