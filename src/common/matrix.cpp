@@ -263,14 +263,6 @@ Mat outer(const Vec& a, const Vec& b) {
   return m;
 }
 
-namespace {
-
-// LU with partial pivoting, in place.  Returns the pivot permutation.
-struct LuResult {
-  Mat lu;
-  std::vector<std::size_t> piv;
-};
-
 LuResult lu_factor(Mat a) {
   const std::size_t n = a.rows();
   if (a.cols() != n) throw std::invalid_argument("lu_factor: matrix not square");
@@ -302,9 +294,10 @@ LuResult lu_factor(Mat a) {
   return res;
 }
 
-Vec lu_apply(const LuResult& f, const Vec& b) {
+void lu_apply(const LuResult& f, const Vec& b, Vec& x) {
   const std::size_t n = f.lu.rows();
-  Vec x(n);
+  if (b.size() != n) throw std::invalid_argument("lu_apply size mismatch");
+  x.resize(n);
   for (std::size_t i = 0; i < n; ++i) x[i] = b[f.piv[i]];
   // Forward substitution (L has unit diagonal).
   for (std::size_t i = 1; i < n; ++i)
@@ -314,23 +307,23 @@ Vec lu_apply(const LuResult& f, const Vec& b) {
     for (std::size_t j = ii + 1; j < n; ++j) x[ii] -= f.lu(ii, j) * x[j];
     x[ii] /= f.lu(ii, ii);
   }
-  return x;
 }
-
-}  // namespace
 
 Vec lu_solve(Mat a, Vec b) {
   if (a.rows() != b.size()) throw std::invalid_argument("lu_solve size mismatch");
   const LuResult f = lu_factor(std::move(a));
-  return lu_apply(f, b);
+  Vec x;
+  lu_apply(f, b, x);
+  return x;
 }
 
 Mat lu_solve(Mat a, const Mat& b) {
   if (a.rows() != b.rows()) throw std::invalid_argument("lu_solve size mismatch");
   const LuResult f = lu_factor(std::move(a));
   Mat x(b.rows(), b.cols());
+  Vec xc;
   for (std::size_t c = 0; c < b.cols(); ++c) {
-    const Vec xc = lu_apply(f, b.col(c));
+    lu_apply(f, b.col(c), xc);
     for (std::size_t r = 0; r < b.rows(); ++r) x(r, c) = xc[r];
   }
   return x;

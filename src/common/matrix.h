@@ -104,6 +104,21 @@ Vec col_sums(const Mat& m);
 
 // ---- Factorizations & solvers ---------------------------------------------
 
+/// LU factorisation with partial pivoting, P A = L U: `lu` packs the unit
+/// lower L below the diagonal and U on and above it; row i of P A is row
+/// piv[i] of A.  Factor once and apply per right-hand side when A is fixed.
+struct LuResult {
+  Mat lu;
+  std::vector<std::size_t> piv;
+};
+
+/// Throws std::runtime_error if A is (numerically) singular.
+LuResult lu_factor(Mat a);
+
+/// Solves A x = b from A's factor into `x` (resized to n; allocation-free
+/// once `x` has that capacity).  `b` and `x` must be distinct vectors.
+void lu_apply(const LuResult& f, const Vec& b, Vec& x);
+
 /// Solves A x = b by LU decomposition with partial pivoting.
 /// Throws std::runtime_error if A is (numerically) singular.
 Vec lu_solve(Mat a, Vec b);

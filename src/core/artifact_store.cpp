@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -10,6 +11,8 @@
 #include <stdexcept>
 #include <system_error>
 
+#include <signal.h>
+#include <sys/types.h>
 #include <unistd.h>
 
 namespace fs = std::filesystem;
@@ -198,8 +201,8 @@ void write_file_atomic(const std::string& path, std::uint32_t kind, std::uint64_
 
   // Unique temp name per writer (pid + process-wide serial): concurrent
   // writers to one target must not share a temp file, or the loser's rename
-  // fails once the winner's rename has moved it away.  Leftover temps from a
-  // crash are still *.tmp* files, which gc() sweeps.
+  // fails once the winner's rename has moved it away.  A temp left by a
+  // writer that died before its rename is swept by gc() once that pid is gone.
   static std::atomic<std::uint64_t> tmp_serial{0};
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
                           std::to_string(tmp_serial.fetch_add(1));
@@ -214,6 +217,24 @@ void write_file_atomic(const std::string& path, std::uint32_t kind, std::uint64_
   fs::rename(tmp, path, ec);
   if (ec) throw std::runtime_error("ArtifactStore: rename to " + path + ": " + ec.message());
 }
+
+/// Writer pid of a `<target>.tmp.<pid>.<serial>` name, or 0 for any other name.
+pid_t temp_writer_pid(const std::string& name) {
+  const std::size_t tag = name.rfind(".tmp.");
+  if (tag == std::string::npos) return 0;
+  const std::size_t pid_at = tag + 5;
+  const std::size_t dot = name.find('.', pid_at);
+  const auto digits = [&](std::size_t from, std::size_t to) {
+    return to > from && name.find_first_not_of("0123456789", from) >= to;
+  };
+  if (dot == std::string::npos || !digits(pid_at, dot) || !digits(dot + 1, name.size())) return 0;
+  if (dot - pid_at > 9) return 0;  // beyond any pid_t; not a name write_file_atomic makes
+  return static_cast<pid_t>(std::stol(name.substr(pid_at, dot - pid_at)));
+}
+
+/// False only when no process `pid` exists (kill(pid, 0) fails with ESRCH);
+/// a process we may not signal (EPERM) is alive.
+bool writer_alive(pid_t pid) { return ::kill(pid, 0) == 0 || errno != ESRCH; }
 
 }  // namespace
 
@@ -325,7 +346,10 @@ std::vector<ArtifactStore::FileInfo> ArtifactStore::inspect() const {
 std::size_t ArtifactStore::gc() {
   std::size_t removed = 0;
   for (const auto& info : inspect()) {
-    if (info.valid) continue;
+    // A temp file belongs to its writer until that process is gone, however
+    // incomplete it looks; any other file goes when it fails to parse.
+    const pid_t writer = temp_writer_pid(info.name);
+    if (writer > 0 ? writer_alive(writer) : info.valid) continue;
     std::error_code ec;
     if (fs::remove(fs::path(dir_) / info.name, ec) && !ec) ++removed;
   }

@@ -84,8 +84,10 @@ class ArtifactStore {
   };
   std::vector<FileInfo> inspect() const;
 
-  /// Deletes every invalid store file (leftover temp files included).
-  /// Returns the number of files removed.
+  /// Deletes every invalid store file, and every `*.tmp.<pid>.<n>` temp whose
+  /// writer process no longer exists (one that died before its rename).  A
+  /// live writer's temp is never touched, complete or not.  Returns the
+  /// number of files removed.
   std::size_t gc();
 
  private:

@@ -27,7 +27,9 @@ ThermalBudget::ThermalBudget(ThermalConstraintParams params, common::Vec nominal
     : params_(std::move(params)),
       net_(thermal::RcThermalNetwork::mobile_soc(params_.ambient_c)),
       shape_w_(std::move(nominal_shape_w)),
-      junction_node_(junction_node) {
+      junction_node_(junction_node),
+      transient_(net_),
+      power_w_(net_.num_nodes()) {
   // A size mismatch against the RC network would silently index out of range
   // deep in the hot loop, so validate every per-node vector up front with
   // sizes in the message.
@@ -42,6 +44,8 @@ ThermalBudget::ThermalBudget(ThermalConstraintParams params, common::Vec nominal
   check("leakage.p0_w", params_.leakage.p0_w.size());
   check("leakage.k_per_c", params_.leakage.k_per_c.size());
   check("nominal shape", shape_w_.size());
+  // After the checks: the solver reads every leakage entry.
+  solver_ = thermal::FixedPointSolver(net_, params_.leakage);
   if (!params_.initial_temperature_c.empty()) net_.set_temperatures(params_.initial_temperature_c);
   track_peaks();
   refresh_budget();
@@ -51,9 +55,10 @@ void ThermalBudget::advance(const common::Vec& inject_w, double dt_s) {
   if (inject_w.size() != shape_w_.size())
     throw std::invalid_argument("ThermalBudget::advance: injection size mismatch");
   shape_w_ = inject_w;
-  common::Vec power = params_.leakage.leakage(net_.temperatures());
-  for (std::size_t i = 0; i < power.size(); ++i) power[i] += inject_w[i];
-  net_.step(power, dt_s);
+  const common::Vec& temp_c = net_.temperatures();
+  for (std::size_t i = 0; i < power_w_.size(); ++i)
+    power_w_[i] = params_.leakage.node_leakage(i, temp_c[i]) + inject_w[i];
+  net_.step(power_w_, dt_s);
   track_peaks();
 
   since_budget_s_ += dt_s;
@@ -65,13 +70,11 @@ void ThermalBudget::advance(const common::Vec& inject_w, double dt_s) {
 
 void ThermalBudget::refresh_budget() {
   if (params_.horizon_s > 0.0) {
-    const double scale = thermal::transient_power_headroom(net_, params_.leakage, shape_w_,
-                                                           params_.horizon_s, params_.limits);
+    const double scale = thermal::transient_power_headroom(
+        net_, params_.leakage, shape_w_, params_.horizon_s, params_.limits, transient_);
     budget_w_ = scale * common::sum(shape_w_);
   } else {
-    budget_w_ =
-        thermal::max_sustainable_power(net_, params_.leakage, shape_w_, params_.limits)
-            .total_power_w;
+    budget_w_ = thermal::max_sustainable_power(solver_, shape_w_, params_.limits).total_power_w;
   }
 }
 

@@ -7,7 +7,9 @@
 // dependent leakage feedback, periodically recomputes the power budget
 // (transient_power_headroom over a configurable horizon, or
 // max_sustainable_power for a steady-state budget), tracks peak junction and
-// skin temperatures, and publishes the telemetry snapshot.
+// skin temperatures, and publishes the telemetry snapshot.  The steady
+// fixed point is factored once per budget (thermal::FixedPointSolver), and
+// advance() and both refreshes are allocation-free.
 //
 // Two thin adapters bind it to a runner's arbiter/observer/telemetry hooks
 // and keep only what differs per platform — the ideal power model the
@@ -99,6 +101,9 @@ class ThermalBudget {
   thermal::RcThermalNetwork net_;
   common::Vec shape_w_;  ///< last observed per-node power shape
   std::size_t junction_node_;
+  thermal::FixedPointSolver solver_;    ///< steady budget: factored once
+  thermal::TransientScratch transient_;  ///< transient budget workspace
+  common::Vec power_w_;                  ///< advance() scratch: inject + leakage
   double budget_w_ = 0.0;
   double since_budget_s_ = 0.0;
   double peak_junction_c_ = 0.0;

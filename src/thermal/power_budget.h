@@ -27,13 +27,31 @@ struct PowerBudgetResult {
   bool skin_bound = false;  ///< true if the skin limit binds before junction
 };
 
+/// Bisects through a solver factored once for the network and leakage model:
+/// each of the ~65 probes is one mat-vec plus one LU apply, allocation-free.
+PowerBudgetResult max_sustainable_power(FixedPointSolver& solver, const common::Vec& shape_w,
+                                        const PowerBudgetConfig& cfg = {});
+/// One-shot form: factors a solver for (net, leak) and bisects through it.
 PowerBudgetResult max_sustainable_power(const RcThermalNetwork& net, const LeakageModel& leak,
                                         const common::Vec& shape_w,
                                         const PowerBudgetConfig& cfg = {});
 
+/// Reusable workspace for transient_power_headroom: the network copy the
+/// probes simulate on and the per-tick power vector.  Kept across calls on
+/// the same network, a headroom refresh is allocation-free.
+struct TransientScratch {
+  explicit TransientScratch(const RcThermalNetwork& net) : sim(net) {}
+  RcThermalNetwork sim;
+  common::Vec power_w;
+};
+
 /// Transient headroom: largest constant power scale that keeps all nodes
 /// below their limits for the next `horizon_s` seconds starting from the
-/// network's current state (bisection on the scale).
+/// network's current state (bisection on the scale).  `net` is not touched.
+double transient_power_headroom(const RcThermalNetwork& net, const LeakageModel& leak,
+                                const common::Vec& shape_w, double horizon_s,
+                                const PowerBudgetConfig& cfg, TransientScratch& scratch);
+/// One-shot form with a fresh workspace.
 double transient_power_headroom(const RcThermalNetwork& net, const LeakageModel& leak,
                                 const common::Vec& shape_w, double horizon_s,
                                 const PowerBudgetConfig& cfg = {});

@@ -28,6 +28,7 @@ RcThermalNetwork::RcThermalNetwork(std::vector<ThermalNodeSpec> nodes,
     g_(c.b, c.a) -= c.conductance_w_per_k;
   }
   temp_.assign(n, ambient_c_);
+  dtemp_.assign(n, 0.0);
 }
 
 RcThermalNetwork RcThermalNetwork::mobile_soc(double ambient_c) {
@@ -54,9 +55,9 @@ RcThermalNetwork RcThermalNetwork::mobile_soc(double ambient_c) {
   return RcThermalNetwork(std::move(nodes), std::move(couplings), ambient_c);
 }
 
-void RcThermalNetwork::set_temperatures(common::Vec t) {
+void RcThermalNetwork::set_temperatures(const common::Vec& t) {
   if (t.size() != temp_.size()) throw std::invalid_argument("set_temperatures: size mismatch");
-  temp_ = std::move(t);
+  temp_ = t;
 }
 
 
@@ -72,13 +73,12 @@ void RcThermalNetwork::step(const common::Vec& power_w, double dt_s) {
   // C dT/dt = P - G (T - T_amb): G's diagonal carries ambient legs plus
   // coupling sums, off-diagonals are negated couplings (Laplacian form).
   for (int s = 0; s < substeps; ++s) {
-    common::Vec dtemp(temp_.size(), 0.0);
     for (std::size_t i = 0; i < temp_.size(); ++i) {
       double flow = power_w[i];
       for (std::size_t j = 0; j < temp_.size(); ++j) flow -= g_(i, j) * (temp_[j] - ambient_c_);
-      dtemp[i] = flow / cap_[i];
+      dtemp_[i] = flow / cap_[i];
     }
-    for (std::size_t i = 0; i < temp_.size(); ++i) temp_[i] += h * dtemp[i];
+    for (std::size_t i = 0; i < temp_.size(); ++i) temp_[i] += h * dtemp_[i];
   }
 }
 

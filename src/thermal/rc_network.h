@@ -43,10 +43,11 @@ class RcThermalNetwork {
 
   /// Current temperatures (deg C).
   const common::Vec& temperatures() const { return temp_; }
-  void set_temperatures(common::Vec t);
+  /// Copies `t` into the state (allocation-free: the size is fixed).
+  void set_temperatures(const common::Vec& t);
 
   /// Advance by dt seconds under constant node powers (W).  Internally uses
-  /// sub-stepped forward Euler with a stability-bounded step.
+  /// sub-stepped forward Euler with a stability-bounded step; allocation-free.
   void step(const common::Vec& power_w, double dt_s);
 
   /// Steady-state temperatures for constant power: T = T_amb + G^{-1} P.
@@ -66,6 +67,7 @@ class RcThermalNetwork {
   common::Mat g_;        // conductance (including ambient legs on diagonal)
   common::Vec cap_;      // heat capacities
   common::Vec temp_;     // state (deg C)
+  common::Vec dtemp_;    // step() scratch: dT/dt of the current substep
   double ambient_c_;
 };
 

@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/thread_pool.h"
 #include "core/artifact_store.h"
 #include "core/il_policy.h"
@@ -176,6 +178,31 @@ TEST(OracleStore, InFlightTempFileIsNotLoaded) {
   const fs::path bucket = only_file(dir);
   fs::copy_file(bucket, bucket.string() + ".tmp.1.0");
   EXPECT_EQ(ArtifactStore(dir.string()).load_oracle_entries().size(), trace.size());
+}
+
+TEST(ArtifactStoreGc, SweepsTempsOfDeadWritersOnly) {
+  // A writer that died between its write and its rename leaves a complete,
+  // parseable temp.  gc() removes it once no process has its pid, and never
+  // touches a live writer's temp, this process's own included, even when
+  // that one is still incomplete.
+  const fs::path dir = fresh_dir("gc-temps");
+  ArtifactStore store(dir.string());
+  store.put_blob("w", 1, {1.0, 2.0});
+  const fs::path blob = only_file(dir);
+  const std::string own = std::to_string(::getpid());
+  const fs::path dead = blob.string() + ".tmp.4194305.0";  // above any pid_max
+  const fs::path live = blob.string() + ".tmp." + own + ".7";
+  fs::copy_file(blob, dead);
+  fs::copy_file(blob, live);
+  fs::resize_file(live, fs::file_size(live) - 3);  // mid-write
+  fs::copy_file(blob, blob.string() + ".tmp.1.0");  // pid 1 always exists
+
+  EXPECT_EQ(store.gc(), 1u);
+  EXPECT_FALSE(fs::exists(dead));
+  EXPECT_TRUE(fs::exists(live));
+  EXPECT_TRUE(fs::exists(blob.string() + ".tmp.1.0"));
+  EXPECT_EQ(store.get_blob("w", 1), (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(store.gc(), 0u);
 }
 
 TEST(OracleSearch, PooledMatchesSerialBitwise) {

@@ -29,6 +29,8 @@
 #include "ml/qlearn.h"
 #include "ml/rls.h"
 #include "soc/platform.h"
+#include "soc/thermal_platform.h"
+#include "thermal/rc_network.h"
 #include "workloads/cpu_benchmarks.h"
 #include "workloads/gpu_benchmarks.h"
 
@@ -280,6 +282,32 @@ TEST(HotPathAlloc, NmpcFullStepIsAllocFreeIncludingRefit) {
   for (std::size_t i = 31; i < 151; ++i) c = nmpc.step(result, c, i);
   EXPECT_EQ(probe.delta(), 0u);
   EXPECT_TRUE(plat.valid(c));
+}
+
+TEST(HotPathAlloc, ThermalStepAndBudgetRefreshesAreAllocFree) {
+  // The RC step, ThermalBudget::advance and both budget refreshes (the
+  // steady fixed-point bisection and the transient headroom simulation)
+  // reuse scratch sized at construction or on the first refresh.
+  thermal::RcThermalNetwork net = thermal::RcThermalNetwork::mobile_soc();
+  const common::Vec a{2.0, 0.3, 0.0, 0.8, 0.0};
+  const common::Vec b{0.0, 0.0, 2.0, 1.0, 0.0};
+  for (double horizon : {0.0, 10.0}) {
+    soc::ThermalConstraintParams params;
+    params.horizon_s = horizon;  // 0: steady max_sustainable_power budget
+    params.budget_interval_s = 0.1;  // every advance below refreshes
+    soc::ThermalBudget budget(params, {0.55, 0.10, 0.0, 0.35, 0.0}, 0);
+    budget.advance(a, 0.2);  // warm-up: the first refresh sizes the workspaces
+    std::size_t unchanged = 0;
+    AllocationProbe probe;
+    net.step(a, 1.0);
+    for (int i = 0; i < 20; ++i) {
+      const double before = budget.budget_w();
+      budget.advance(i % 2 == 0 ? b : a, 0.2);
+      if (budget.budget_w() == before) ++unchanged;
+    }
+    EXPECT_EQ(probe.delta(), 0u) << "horizon_s " << horizon;
+    EXPECT_EQ(unchanged, 0u) << "every advance must have refreshed the budget";
+  }
 }
 
 TEST(HotPathAlloc, HashStateOverloadsAgree) {

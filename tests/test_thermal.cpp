@@ -2,8 +2,12 @@
 // skin estimation, sensor selection and power budgeting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/stats.h"
 #include "gpu/gpu_model.h"
@@ -215,6 +219,226 @@ TEST(PowerBudget, TransientHeadroomExceedsSustainable) {
   EXPECT_GT(burst_scale, sustained.scale);
 }
 
+// ---- FixedPointSolver against the per-probe reference ----------------------
+
+/// Bit pattern of a double: equality here is bitwise, signed zeros included.
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+/// The fixed point as every probe computed it before FixedPointSolver: R, the
+/// loop gain and the LU of I - R diag(p0 k) recomputed for each power vector.
+FixedPointResult reference_fixed_point(const RcThermalNetwork& net, const LeakageModel& leak,
+                                       const common::Vec& dyn) {
+  const std::size_t n = net.num_nodes();
+  FixedPointResult res;
+  const common::Mat r = net.resistance_matrix();
+  common::Mat gain(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) gain(i, j) = r(i, j) * leak.p0_w[j] * leak.k_per_c[j];
+  res.loop_gain = common::spectral_radius(gain);
+  res.exists = res.loop_gain < 1.0;
+  if (!res.exists) return res;
+  common::Vec rhs_p(n);
+  for (std::size_t i = 0; i < n; ++i)
+    rhs_p[i] = dyn[i] + leak.p0_w[i] * (1.0 + leak.k_per_c[i] * (net.ambient_c() - leak.t0_c));
+  const common::Vec dt = common::lu_solve(common::Mat::identity(n) - gain, r * rhs_p);
+  res.temperature_c.resize(n);
+  for (std::size_t i = 0; i < n; ++i) res.temperature_c[i] = net.ambient_c() + dt[i];
+  const common::Vec p_leak = leak.leakage(res.temperature_c);
+  res.total_power_w.resize(n);
+  for (std::size_t i = 0; i < n; ++i) res.total_power_w[i] = dyn[i] + p_leak[i];
+  return res;
+}
+
+/// The bisection of max_sustainable_power over reference_fixed_point probes.
+PowerBudgetResult reference_budget(const RcThermalNetwork& net, const LeakageModel& leak,
+                                   const common::Vec& shape, const PowerBudgetConfig& cfg,
+                                   std::size_t* runaway_probes) {
+  const auto violation = [&](double s, std::size_t* worst_node) {
+    common::Vec dyn(shape.size());
+    for (std::size_t i = 0; i < dyn.size(); ++i) dyn[i] = s * shape[i];
+    const FixedPointResult fp = reference_fixed_point(net, leak, dyn);
+    if (!fp.exists) {
+      ++*runaway_probes;
+      return 1e9;
+    }
+    double worst = -1e9;
+    for (std::size_t i = 0; i < fp.temperature_c.size(); ++i) {
+      const double limit = i == cfg.skin_node ? cfg.t_max_skin_c : cfg.t_max_junction_c;
+      if (fp.temperature_c[i] - limit > worst) {
+        worst = fp.temperature_c[i] - limit;
+        *worst_node = i;
+      }
+    }
+    return worst;
+  };
+  double total_shape = 0.0;
+  for (double v : shape) total_shape += v;
+  double lo = 0.0, hi = 1.0;
+  std::size_t worst = 0;
+  while (violation(hi, &worst) < 0.0 && hi < 1e4) hi *= 2.0;
+  for (int it = 0; it < 60; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    (violation(mid, &worst) < 0.0 ? lo : hi) = mid;
+  }
+  PowerBudgetResult res;
+  res.scale = lo;
+  res.total_power_w = lo * total_shape;
+  (void)violation(hi, &res.binding_node);
+  res.skin_bound = res.binding_node == cfg.skin_node;
+  return res;
+}
+
+void expect_same_budget(const PowerBudgetResult& got, const PowerBudgetResult& want) {
+  EXPECT_EQ(bits(got.scale), bits(want.scale));
+  EXPECT_EQ(bits(got.total_power_w), bits(want.total_power_w));
+  EXPECT_EQ(got.binding_node, want.binding_node);
+  EXPECT_EQ(got.skin_bound, want.skin_bound);
+}
+
+LeakageModel runaway_leak() {
+  LeakageModel l = default_leak();
+  l.p0_w = {3.5, 0.8, 2.5, 0.0, 0.0};
+  l.k_per_c = {0.12, 0.1, 0.12, 0.0, 0.0};
+  return l;
+}
+
+TEST(FixedPointSolver, BudgetsMatchPerProbeReferenceBitwise) {
+  LeakageModel gpu_leak = default_leak();
+  gpu_leak.p0_w = {0.05, 0.03, 0.30, 0.0, 0.0};
+  gpu_leak.k_per_c = {0.02, 0.02, 0.03, 0.0, 0.0};
+  LeakageModel no_leak = default_leak();
+  no_leak.p0_w.assign(5, 0.0);
+  LeakageModel strong = default_leak();  // stable, but a loop gain well above the default
+  strong.p0_w = {1.2, 0.4, 1.0, 0.1, 0.0};
+  strong.k_per_c = {0.05, 0.04, 0.05, 0.01, 0.0};
+  strong.t0_c = 40.0;
+  const std::vector<LeakageModel> leaks{default_leak(), gpu_leak, no_leak, strong};
+  const std::vector<common::Vec> shapes{{0.55, 0.10, 0.35, 0.0, 0.0}, {0.55, 0.10, 0.0, 0.35, 0.0},
+                                        {0.0, 0.0, 2.0, 1.0, 0.0},    {1.0, 1.0, 1.0, 1.0, 1.0},
+                                        {0.0, 0.0, 0.0, 0.0, 0.3},    {0.2, 0.3, 0.1, 0.0, 0.0}};
+  PowerBudgetConfig binding;
+  binding.t_max_junction_c = 55.0;
+  binding.t_max_skin_c = 43.0;
+  std::size_t cases = 0;
+  for (double ambient : {25.0, 40.0}) {
+    const auto net = RcThermalNetwork::mobile_soc(ambient);
+    for (const auto& leak : leaks) {
+      FixedPointSolver solver(net, leak);
+      ASSERT_TRUE(solver.exists());
+      for (const auto& shape : shapes) {
+        for (const PowerBudgetConfig& cfg : {PowerBudgetConfig{}, binding}) {
+          SCOPED_TRACE(testing::Message() << "ambient " << ambient << " case " << cases++);
+          std::size_t runaway = 0;
+          const PowerBudgetResult want = reference_budget(net, leak, shape, cfg, &runaway);
+          EXPECT_EQ(runaway, 0u);
+          expect_same_budget(max_sustainable_power(net, leak, shape, cfg), want);
+          expect_same_budget(max_sustainable_power(solver, shape, cfg), want);
+
+          // The closed-form fixed point at the budget and at twice the shape.
+          for (double s : {want.scale, 2.0}) {
+            common::Vec dyn(shape.size());
+            for (std::size_t i = 0; i < dyn.size(); ++i) dyn[i] = s * shape[i];
+            const FixedPointResult got = thermal_fixed_point(net, leak, dyn);
+            const FixedPointResult ref = reference_fixed_point(net, leak, dyn);
+            ASSERT_TRUE(got.exists);
+            EXPECT_EQ(bits(got.loop_gain), bits(ref.loop_gain));
+            ASSERT_EQ(got.temperature_c.size(), ref.temperature_c.size());
+            for (std::size_t i = 0; i < ref.temperature_c.size(); ++i) {
+              EXPECT_EQ(bits(got.temperature_c[i]), bits(ref.temperature_c[i]));
+              EXPECT_EQ(bits(got.total_power_w[i]), bits(ref.total_power_w[i]));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FixedPointSolver, RunawayLeakageViolatesAtEveryProbe) {
+  const auto net = RcThermalNetwork::mobile_soc();
+  const LeakageModel hot = runaway_leak();
+  FixedPointSolver solver(net, hot);
+  EXPECT_FALSE(solver.exists());
+  EXPECT_GE(solver.loop_gain(), 1.0);
+  EXPECT_EQ(bits(solver.loop_gain()), bits(reference_fixed_point(net, hot, common::Vec(5)).loop_gain));
+
+  const common::Vec shape{0.55, 0.10, 0.35, 0.0, 0.0};
+  std::size_t runaway = 0;
+  const PowerBudgetResult want = reference_budget(net, hot, shape, {}, &runaway);
+  EXPECT_EQ(runaway, 62u);  // the doubling probe, 60 bisection probes, the binding probe
+  EXPECT_EQ(want.scale, 0.0);
+  expect_same_budget(max_sustainable_power(net, hot, shape), want);
+  expect_same_budget(max_sustainable_power(solver, shape), want);
+  const FixedPointResult fp = thermal_fixed_point(net, hot, {3.0, 0.8, 2.0, 0.0, 0.0});
+  EXPECT_FALSE(fp.exists);
+  EXPECT_TRUE(fp.temperature_c.empty());
+}
+
+TEST(FixedPointSolver, RejectsBadShapesAndLeakage) {
+  const auto net = RcThermalNetwork::mobile_soc();
+  FixedPointSolver solver(net, default_leak());
+  EXPECT_THROW(max_sustainable_power(solver, common::Vec(5, 0.0)), std::invalid_argument);
+  EXPECT_THROW(max_sustainable_power(net, default_leak(), common::Vec(5, 0.0)),
+               std::invalid_argument);
+  EXPECT_THROW(max_sustainable_power(solver, common::Vec(4, 1.0)), std::invalid_argument);
+  LeakageModel short_k = default_leak();
+  short_k.k_per_c.pop_back();
+  EXPECT_THROW(FixedPointSolver(net, short_k), std::invalid_argument);
+  EXPECT_THROW(transient_power_headroom(net, short_k, common::Vec(5, 1.0), 5.0),
+               std::invalid_argument);
+}
+
+/// transient_power_headroom as it was before TransientScratch: a fresh
+/// network copy per probe and fresh power vectors per tick.
+double reference_headroom(const RcThermalNetwork& net, const LeakageModel& leak,
+                          const common::Vec& shape, double horizon_s,
+                          const PowerBudgetConfig& cfg) {
+  const auto violates = [&](double s) {
+    RcThermalNetwork sim = net;
+    for (double t = 0.0; t < horizon_s;) {
+      const double dt = std::min(1.0, horizon_s - t);
+      const common::Vec p_leak = leak.leakage(sim.temperatures());
+      common::Vec total(shape.size());
+      for (std::size_t i = 0; i < total.size(); ++i) total[i] = s * shape[i] + p_leak[i];
+      sim.step(total, dt);
+      for (std::size_t i = 0; i < sim.temperatures().size(); ++i)
+        if (sim.temperatures()[i] > (i == cfg.skin_node ? cfg.t_max_skin_c : cfg.t_max_junction_c))
+          return true;
+      t += dt;
+    }
+    return false;
+  };
+  double lo = 0.0, hi = 1.0;
+  while (!violates(hi) && hi < 1e4) hi *= 2.0;
+  for (int it = 0; it < 40; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    (violates(mid) ? hi : lo) = mid;
+  }
+  return lo;
+}
+
+TEST(PowerBudget, TransientScratchMatchesPerProbeCopyBitwise) {
+  // A reused workspace carries no state between calls, even across
+  // networks: every call matches the copy-per-probe reference bit for bit.
+  auto hot = RcThermalNetwork::mobile_soc(40.0);
+  hot.step({3.0, 0.5, 1.0, 0.0, 0.0}, 30.0);
+  const auto cool = RcThermalNetwork::mobile_soc(25.0);
+  const common::Vec shape{0.55, 0.1, 0.35, 0.0, 0.0};
+  TransientScratch scratch(cool);
+  for (const RcThermalNetwork* net : std::vector<const RcThermalNetwork*>{&hot, &cool, &hot}) {
+    for (double horizon : {2.5, 10.0}) {
+      const double want = reference_headroom(*net, default_leak(), shape, horizon, {});
+      EXPECT_EQ(bits(transient_power_headroom(*net, default_leak(), shape, horizon, {}, scratch)),
+                bits(want));
+      EXPECT_EQ(bits(transient_power_headroom(*net, default_leak(), shape, horizon)), bits(want));
+    }
+  }
+}
+
 // ---- Thermal budget adapters (soc layer) ----------------------------------
 
 TEST(ThermalBudget, RefreshesOnCadenceAndTracksShape) {
@@ -264,6 +488,29 @@ soc::ThermalConstraintParams binding_soc_params() {
   p.ambient_c = 40.0;
   p.horizon_s = 0.0;
   return p;
+}
+
+TEST(ThermalBudget, CopyRefreshesLikeTheOriginal) {
+  // The scenario factories copy adapters; a copy's solver and transient
+  // workspace must be its own and give the original's budgets bit for bit.
+  for (double horizon : {0.0, 10.0}) {
+    SCOPED_TRACE(testing::Message() << "horizon_s " << horizon);
+    soc::ThermalConstraintParams p = binding_soc_params();
+    p.horizon_s = horizon;
+    p.budget_interval_s = 0.25;
+    soc::ThermalBudget original(p, {0.55, 0.10, 0.0, 0.35, 0.0}, 0);
+    original.advance({2.0, 0.3, 0.0, 0.8, 0.0}, 0.3);
+    soc::ThermalBudget copy = original;
+    EXPECT_EQ(bits(copy.budget_w()), bits(original.budget_w()));
+    const std::vector<common::Vec> shapes{{0.0, 0.0, 2.0, 1.0, 0.0}, {2.5, 0.4, 0.0, 0.9, 0.0}};
+    for (int i = 0; i < 6; ++i) {
+      const common::Vec& inject = shapes[static_cast<std::size_t>(i) % shapes.size()];
+      copy.advance(inject, 0.3);
+      original.advance(inject, 0.3);
+      EXPECT_EQ(bits(copy.budget_w()), bits(original.budget_w())) << "tick " << i;
+    }
+    EXPECT_EQ(copy.network().temperatures(), original.network().temperatures());
+  }
 }
 
 TEST(ThermalSocAdapter, ThrottleLadderOrder) {

@@ -6,7 +6,7 @@
 //   list    one line per file: name, kind, entries, bytes, status
 //   stat    aggregate totals (files, oracle entries, blob doubles, bytes)
 //   verify  exit 1 if any file is invalid (prints the offenders)
-//   gc      delete invalid files (leftover temp files included)
+//   gc      delete invalid files and temps whose writer process is gone
 //
 // `<dir>` is created if missing (an empty store is valid and stats to
 // zeroes), matching the bench drivers' `--store` behavior.
@@ -80,7 +80,7 @@ int cmd_verify(const oal::core::ArtifactStore& store) {
 }
 
 int cmd_gc(oal::core::ArtifactStore& store) {
-  std::printf("removed %zu invalid file(s)\n", store.gc());
+  std::printf("removed %zu invalid or orphaned file(s)\n", store.gc());
   return 0;
 }
 
