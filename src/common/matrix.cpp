@@ -100,13 +100,8 @@ Mat Mat::operator*(const Mat& o) const {
 }
 
 Vec Mat::operator*(const Vec& v) const {
-  if (cols_ != v.size()) throw std::invalid_argument("Mat*Vec size mismatch");
-  Vec r(rows_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < cols_; ++j) s += (*this)(i, j) * v[j];
-    r[i] = s;
-  }
+  Vec r;
+  matvec(*this, v, r);
   return r;
 }
 
@@ -152,6 +147,16 @@ std::ostream& operator<<(std::ostream& os, const Mat& m) {
     os << (r + 1 == m.rows() ? "]" : ";\n");
   }
   return os;
+}
+
+void matvec(const Mat& a, const Vec& v, Vec& out) {
+  if (a.cols() != v.size()) throw std::invalid_argument("Mat*Vec size mismatch");
+  out.resize(a.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    double s = 0.0;
+    for (std::size_t j = 0; j < a.cols(); ++j) s += a(i, j) * v[j];
+    out[i] = s;
+  }
 }
 
 double dot(const Vec& a, const Vec& b) {

@@ -78,6 +78,11 @@ std::ostream& operator<<(std::ostream& os, const Mat& m);
 
 // ---- Vector helpers -------------------------------------------------------
 
+/// out = A v, each element accumulated in ascending column order from 0.0
+/// (Mat::operator*(Vec) calls this).  `out` is resized to A's row count, so it
+/// is allocation-free once `out` has that capacity; it must not alias `v`.
+void matvec(const Mat& a, const Vec& v, Vec& out);
+
 double dot(const Vec& a, const Vec& b);
 Vec add(const Vec& a, const Vec& b);
 Vec sub(const Vec& a, const Vec& b);

@@ -38,12 +38,7 @@ FixedPointSolver::FixedPointSolver(const RcThermalNetwork& net, const LeakageMod
 const common::Vec& FixedPointSolver::temperatures(const common::Vec& shape_w, double s) {
   const std::size_t n = num_nodes();
   for (std::size_t i = 0; i < n; ++i) rhs_p_[i] = s * shape_w[i] + leak_term_[i];
-  // rhs = R * rhs_p, accumulated like common::Mat::operator*(Vec).
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < n; ++j) acc += r_(i, j) * rhs_p_[j];
-    rhs_[i] = acc;
-  }
+  common::matvec(r_, rhs_p_, rhs_);
   common::lu_apply(lhs_, rhs_, temp_c_);
   for (std::size_t i = 0; i < n; ++i) temp_c_[i] = ambient_c_ + temp_c_[i];
   return temp_c_;

@@ -3,12 +3,11 @@
 
     cmake -B build -S . && cmake --build build -j
     python3 tools/bench_trajectory.py --out BENCH_<n>.json [--build build]
-                                      [--seed 1] [--seconds <s>] [--skip-perfbench]
 
 Two kinds of measurement, both untraced:
   * perfbench: each workload of perfbench/run.py (online_il, fleet_thermal,
-    gpu_enmpc) once at the given seed and run length (default: BENCHMARK.json's
-    run_seconds); its result line is stored as printed.
+    gpu_enmpc) once at seed 1 and BENCHMARK.json's run_seconds, the same run
+    the benchmark makes; its result line is stored as printed.
   * paper benches: every bench_* binary in the build directory except
     bench_overhead (a google-benchmark microbenchmark, not a paper result),
     run cold (no --store) with stdout discarded.  Wall time is measured
@@ -17,11 +16,14 @@ Two kinds of measurement, both untraced:
     the RUSAGE_CHILDREN maximum RSS is a running maximum over every child
     reaped so far, so it cannot attribute a peak to one bench).  Linux
     carries the forking process's memory high-water mark into the child's
-    max RSS at exec, so max_rss_mb never reads below this script's own RSS
-    (~14-15 MB); only larger peaks are the bench's.
+    max RSS at exec, so a child reading at or below this script's own peak
+    RSS (~14-15 MB) may be the script's and not the bench's: max_rss_mb is
+    then stored as null and left out of the diff.
 
 The file is written to --out, and a table of differences against the
-highest-numbered other BENCH_*.json in the same directory is printed.  The
+highest-numbered other BENCH_*.json in the same directory is printed;
+perfbench metrics are compared only when both points ran the same seed and
+run length.  The
 script reports only: slower numbers never change its exit status, and a
 bench that fails is recorded with its exit code.
 """
@@ -32,12 +34,14 @@ import json
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("online_il", "fleet_thermal", "gpu_enmpc")
+SEED = 1
 SKIPPED_BENCHES = ("bench_overhead",)
 
 
@@ -52,9 +56,9 @@ def git_commit():
     return head + ("+dirty" if dirty else "")
 
 
-def run_perfbench(workload, seed, seconds):
+def run_perfbench(workload, seconds):
     cmd = [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                           text=True)
     lines = proc.stdout.splitlines()
@@ -69,6 +73,9 @@ def run_perfbench(workload, seed, seconds):
 
 
 def run_bench(path):
+    # ru_maxrss is KiB on Linux.  A child reading not above this process's own
+    # peak may be carrying that peak over from the fork, so it is no measurement.
+    floor_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     start = time.monotonic()
     proc = subprocess.Popen([path], cwd=ROOT, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
@@ -80,14 +87,20 @@ def run_bench(path):
         "wall_s": round(wall, 4),
         "user_s": round(usage.ru_utime, 4),
         "sys_s": round(usage.ru_stime, 4),
-        "max_rss_mb": round(usage.ru_maxrss / 1024.0, 2),  # ru_maxrss is KiB on Linux
+        "max_rss_mb": round(usage.ru_maxrss / 1024.0, 2) if usage.ru_maxrss > floor_kib else None,
     }
 
 
-def flatten(point):
+def perfbench_run(point):
+    pb = point.get("perfbench", {})
+    return pb.get("seed"), pb.get("seconds")
+
+
+def flatten(point, with_perfbench=True):
     """{metric path: number} for every comparable number of a trajectory point."""
     out = {}
-    for w, res in point.get("perfbench", {}).get("workloads", {}).items():
+    workloads = point.get("perfbench", {}).get("workloads", {}) if with_perfbench else {}
+    for w, res in workloads.items():
         for name, m in res.get("metrics", {}).items():
             if isinstance(m, dict) and isinstance(m.get("value"), (int, float)):
                 out["perfbench/%s/%s" % (w, name)] = m["value"]
@@ -109,9 +122,13 @@ def previous_point(out_path):
 
 
 def print_diff(prev_path, prev, cur):
-    a, b = flatten(prev), flatten(cur)
+    same_run = perfbench_run(prev) == perfbench_run(cur)
+    a, b = flatten(prev, same_run), flatten(cur, same_run)
     print("\nchange against %s (ratio = new / old; timings are not gated):"
           % os.path.basename(prev_path))
+    if not same_run:
+        print("perfbench left out: (seed, seconds) %s there vs %s here are not comparable"
+              % (perfbench_run(prev), perfbench_run(cur)))
     print("%-48s %14s %14s %8s" % ("metric", "old", "new", "ratio"))
     for key in sorted(set(a) | set(b)):
         old, new = a.get(key), b.get(key)
@@ -126,16 +143,10 @@ def main():
     parser.add_argument("--out", required=True, help="trajectory file, e.g. BENCH_16.json")
     parser.add_argument("--build", default=os.path.join(ROOT, "build"),
                         help="build directory holding the bench_* binaries")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="perfbench run length (default: BENCHMARK.json run_seconds)")
-    parser.add_argument("--skip-perfbench", action="store_true")
     args = parser.parse_args()
 
-    seconds = args.seconds
-    if seconds is None:
-        with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-            seconds = int(json.load(f)["run_seconds"])
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        seconds = int(json.load(f)["run_seconds"])
     benches = sorted(p for p in glob.glob(os.path.join(args.build, "bench_*"))
                      if os.access(p, os.X_OK) and os.path.basename(p) not in SKIPPED_BENCHES)
     if not benches:
@@ -147,13 +158,12 @@ def main():
         "recorded_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "system": platform.system()},
-        "perfbench": {"seed": args.seed, "seconds": seconds, "trace": 0, "workloads": {}},
+        "perfbench": {"seed": SEED, "seconds": seconds, "trace": 0, "workloads": {}},
         "benches": {},
     }
-    if not args.skip_perfbench:
-        for w in WORKLOADS:
-            print("perfbench %s ..." % w, file=sys.stderr, flush=True)
-            point["perfbench"]["workloads"][w] = run_perfbench(w, args.seed, seconds)
+    for w in WORKLOADS:
+        print("perfbench %s ..." % w, file=sys.stderr, flush=True)
+        point["perfbench"]["workloads"][w] = run_perfbench(w, seconds)
     for path in benches:
         name = os.path.basename(path)
         print("%s ..." % name, file=sys.stderr, flush=True)
